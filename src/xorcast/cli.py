@@ -121,11 +121,14 @@ def cmd_simulate(args, out) -> int:
         raise UsageError(f"trials must be >= 1, got {args.trials}")
     if args.max_tx < 1:
         raise UsageError(f"max-tx must be >= 1, got {args.max_tx}")
-    config = sim.ExperimentConfig(
-        k=k, p=p, policy=args.policy, trials=args.trials,
-        master_seed=args.seed, max_tx_per_trial=args.max_tx,
-        rl_include_zero=args.include_zero,
-    )
+    try:
+        config = sim.ExperimentConfig(
+            k=k, p=p, policy=args.policy, trials=args.trials,
+            master_seed=args.seed, max_tx_per_trial=args.max_tx,
+            rl_include_zero=args.include_zero,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     result = sim.run_experiment(config)
     payload = {"command": "simulate", "policy": args.policy, "k": k, "p": p,
                "trials": args.trials, "seed": args.seed,
@@ -303,6 +306,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            sim._thread_count()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         return args.func(args, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

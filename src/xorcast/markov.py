@@ -8,9 +8,13 @@ catches entry slips that numeric spot checks would miss. The fine-grained
 chain enumerates raw joint decoder states under the greedy policy and is the
 independent oracle the aggregated matrices are validated against.
 
-Expected transmission counts solve the standard absorption-time system
-mu_i = 1 + sum_j a_ij mu_j over transient states, mu = 0 at the absorbing
-state.
+Both chains keep sparse rows {j: entry}, and every off-diagonal transition goes
+to a higher index (it strictly raises total rank), so (I - Q) mu = 1 is
+triangular and one reverse pass mu_i = (1 + sum_{j>i} a_ij mu_j) / (1 - a_ii)
+solves it. The pass runs in the arithmetic of p, so a fractions.Fraction p
+gives the exact rational expectation:
+
+    expected_absorption_time(build_chain(2), Fraction(1, 2)) == Fraction(17620, 3087)
 """
 
 from __future__ import annotations
@@ -20,19 +24,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .gf2 import rref_insert, span_of_rows
 from .policy import _scan_spans
 
 RESIDUAL_TOL = 1e-9
 
-# Joint-state space is (number of subspaces of GF(2)^k)^3; 4 is the desk limit.
+# Joint-state space grows as the cube of the subspace count of GF(2)^k; closure
+# size and build time make 4 the desk limit.
 MAX_FINE_DIM = 4
 
 
 class SolverError(RuntimeError):
-    """Absorption-time solve failed its residual check; must not occur for p < 1."""
+    """Chain breaks the ordering contract or the solve fails its residual check."""
 
 
 _TERM_RE = re.compile(r"^(\d*)(?:s(\d*))?(?:p(\d*))?$")
@@ -75,7 +78,7 @@ class TransitionPoly:
         return cls(())
 
     def evaluate(self, p: float) -> float:
-        s = 1.0 - p
+        s = 1 - p
         return sum(c * s**a * p**b for c, a, b in self.monomials)
 
     def coeffs_in_s(self) -> list[int]:
@@ -103,16 +106,23 @@ class TransitionPoly:
 
 @dataclass(frozen=True)
 class MarkovChainSpec:
-    """Aggregated chain: labeled states and a symbolic transition matrix."""
+    """Aggregated chain: labeled states and sparse symbolic transition rows."""
 
     k: int
     descriptions: tuple[str, ...]
-    matrix: tuple[tuple[TransitionPoly, ...], ...]
+    transitions: tuple[dict[int, TransitionPoly], ...]
     absorbing_index: int
 
     @property
     def n_states(self) -> int:
         return len(self.descriptions)
+
+    @property
+    def matrix(self) -> tuple[tuple[TransitionPoly, ...], ...]:
+        """Dense view of transitions, zero polynomials where a row has no entry."""
+        zero = TransitionPoly.zero()
+        return tuple(tuple(row.get(j, zero) for j in range(self.n_states))
+                     for row in self.transitions)
 
 
 # Aggregated chain for k=2. Rows indexed by state, sparse {column: entry}.
@@ -214,14 +224,10 @@ _K3_ROWS: tuple[dict[int, str], ...] = (
 
 
 def _assemble(k: int, descriptions, rows) -> MarkovChainSpec:
-    n = len(descriptions)
-    zero = TransitionPoly.zero()
-    matrix = tuple(
-        tuple(TransitionPoly.parse(row[j]) if j in row else zero for j in range(n))
-        for row in rows
-    )
-    return MarkovChainSpec(k=k, descriptions=tuple(descriptions), matrix=matrix,
-                           absorbing_index=n - 1)
+    transitions = tuple({j: TransitionPoly.parse(text) for j, text in sorted(row.items())}
+                        for row in rows)
+    return MarkovChainSpec(k=k, descriptions=tuple(descriptions), transitions=transitions,
+                           absorbing_index=len(descriptions) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +243,7 @@ def build_chain(k: int) -> MarkovChainSpec:
 def row_sum_coeffs(chain: MarkovChainSpec, i: int) -> list[int]:
     """Integer s-polynomial coefficients of row i's sum after p = 1 - s."""
     total = TransitionPoly.zero()
-    for entry in chain.matrix[i]:
+    for entry in chain.transitions[i].values():
         total = total + entry
     return total.coeffs_in_s()
 
@@ -254,52 +260,41 @@ def format_chain(chain: MarkovChainSpec) -> str:
     """Debug dump: one line per nonzero transition entry."""
     lines = []
     for i in range(chain.n_states):
-        for j, entry in enumerate(chain.matrix[i]):
+        for j, entry in chain.transitions[i].items():
             if entry.monomials:
                 lines.append(f"{i}, {chain.descriptions[i]}, -> {j}: {entry}")
     return "\n".join(lines)
 
 
-def _solve_absorption(dense: np.ndarray, absorbing_index: int, start: int) -> float:
-    """Expected steps to absorption from start, solving (I - Q) mu = 1."""
-    n = dense.shape[0]
-    transient = [i for i in range(n) if i != absorbing_index]
-    q = dense[np.ix_(transient, transient)]
-    a = np.eye(len(transient)) - q
-    b = np.ones(len(transient))
-    try:
-        mu = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"absorption system singular: {exc}") from exc
-    residual = np.max(np.abs(a @ mu - b))
-    if residual > RESIDUAL_TOL:
-        mu = mu + np.linalg.solve(a, b - a @ mu)
-        residual = np.max(np.abs(a @ mu - b))
-        if residual > RESIDUAL_TOL:
-            raise SolverError(f"absorption solve residual {residual:.3e} after refinement")
-    return float(mu[transient.index(start)])
-
-
-def _dense_matrix(matrix, n: int, p: float) -> np.ndarray:
-    dense = np.zeros((n, n))
-    for i, row in enumerate(matrix):
-        for j, entry in enumerate(row):
-            if entry.monomials:
-                dense[i, j] = entry.evaluate(p)
-    return dense
-
-
-def _check_p(p: float) -> None:
+def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
+    """Expected steps from state 0 to absorption; a Fraction p gives a Fraction."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p} "
                          "(expected transmissions diverge at p = 1)")
+    mu = [0 * p] * chain.n_states
+    for i in range(chain.n_states - 1, -1, -1):
+        if i == chain.absorbing_index:
+            continue
+        stay, off = 0 * p, 0 * p
+        for j, entry in chain.transitions[i].items():
+            if j < i:
+                raise SolverError(f"transition {i} -> {j} goes to a lower index")
+            if j == i:
+                stay = entry.evaluate(p)
+            else:
+                off += entry.evaluate(p) * mu[j]
+        if stay == 1:
+            raise SolverError(f"transient state {i} never leaves itself")
+        mu[i] = (1 + off) / (1 - stay)
+        residual = abs(mu[i] - stay * mu[i] - off - 1)
+        if not residual <= RESIDUAL_TOL:
+            raise SolverError(f"absorption solve residual {float(residual):.3e} in row {i}")
+    return mu[0]
 
 
 def expected_absorption_time(chain: MarkovChainSpec, p: float) -> float:
     """Exact expected transmissions until all clients reach full rank."""
-    _check_p(p)
-    dense = _dense_matrix(chain.matrix, chain.n_states, p)
-    return _solve_absorption(dense, chain.absorbing_index, start=0)
+    return _absorption_time(chain, p)
 
 
 @dataclass(frozen=True)
@@ -343,13 +338,11 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     index: dict[tuple, int] = {start: 0}
     choices: list[int | None] = []
     mask_successors: list[tuple[int, ...] | None] = []
-    absorbing_index = -1
 
     i = 0
     while i < len(states):
         state = states[i]
         if all(rows == full for rows in state):
-            absorbing_index = i
             choices.append(None)
             mask_successors.append(None)
             i += 1
@@ -376,8 +369,17 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
         mask_successors.append(tuple(succ))
         i += 1
 
-    if absorbing_index < 0:
+    if (full, full, full) not in index:
         raise SolverError("fine chain closure never reached the full-rank state")
+
+    # Stable sort by total rank, which every non-self transition raises: the
+    # solver's ordering contract then holds and the empty state stays at 0.
+    order = sorted(range(len(states)), key=lambda i: sum(map(len, states[i])))
+    position = {old: new for new, old in enumerate(order)}
+    mask_successors = [None if succ is None else tuple(position[j] for j in succ)
+                       for succ in mask_successors]
+    states, choices, mask_successors = ([seq[i] for i in order]
+                                        for seq in (states, choices, mask_successors))
 
     transitions: list[dict[int, TransitionPoly]] = []
     for i, succ in enumerate(mask_successors):
@@ -393,15 +395,9 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
 
     return FineChain(k=k, tie_break=tie_break, states=tuple(states), choices=tuple(choices),
                      mask_successors=tuple(mask_successors), transitions=tuple(transitions),
-                     absorbing_index=absorbing_index)
+                     absorbing_index=position[index[full, full, full]])
 
 
 def absorption_time_fine(chain: FineChain, p: float) -> float:
     """Expected transmissions to absorption in the fine-grained chain."""
-    _check_p(p)
-    n = chain.n_states
-    dense = np.zeros((n, n))
-    for i, row in enumerate(chain.transitions):
-        for j, entry in row.items():
-            dense[i, j] = entry.evaluate(p)
-    return _solve_absorption(dense, chain.absorbing_index, start=0)
+    return _absorption_time(chain, p)

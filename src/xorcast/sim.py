@@ -18,7 +18,7 @@ import numpy as np
 
 from . import markov
 from .gf2 import rref_insert, span_of_rows
-from .policy import _scan_spans
+from .policy import MAX_SCAN_DIM, _scan_spans
 
 _MASK64 = (1 << 64) - 1
 _MUL1 = 0xBF58476D1CE4E5B9
@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {self.p}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        if self.policy == "greedy" and self.k > MAX_SCAN_DIM:
+            raise ValueError(f"greedy scans all 2^k - 1 codewords and supports "
+                             f"k <= {MAX_SCAN_DIM}, got {self.k}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.max_tx_per_trial < 1:
@@ -275,11 +278,15 @@ def _scalar_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def _thread_count() -> int:
+    """Worker threads from XORCAST_THREADS: unset or empty is 1, else an integer >= 1."""
     raw = os.environ.get("XORCAST_THREADS", "")
     try:
-        return max(1, int(raw)) if raw else 1
+        threads = int(raw) if raw else 1
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"XORCAST_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

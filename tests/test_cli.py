@@ -116,6 +116,20 @@ class TestSimulate:
         assert run_cli(capsys, "simulate", "--policy", "mds", "--k", "2",
                        "--p", "0.1", "--trials", "0")[0] == 1
 
+    def test_greedy_above_scan_limit_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--policy", "greedy", "--k", "21",
+                               "--p", "0.1", "--trials", "1")
+        assert code == 1
+        assert err.startswith("usage error:") and "k <= 20" in err
+
+    @pytest.mark.parametrize("threads", ["abc", "-3", "0"])
+    def test_invalid_thread_setting_is_usage_error(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("XORCAST_THREADS", threads)
+        code, _, err = run_cli(capsys, "simulate", "--policy", "mds", "--k", "2",
+                               "--p", "0.1", "--trials", "10")
+        assert code == 1
+        assert err.startswith("usage error:") and "XORCAST_THREADS" in err
+
 
 class TestFigure:
     def test_fig1c_zero_loss_rows_are_zero(self, capsys):

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from xorcast.markov import (
+    MarkovChainSpec,
+    SolverError,
     TransitionPoly,
     absorption_time_fine,
     build_chain,
@@ -14,6 +22,11 @@ from xorcast.markov import (
 # Absorption time of the joint-state chain at k=2, p=0.5, computed once from
 # the breadth-first closure and frozen here as the oracle value.
 FINE_K2_P05 = 5.707806932296728
+
+RATIONAL_P = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10))
+
+# Exact E[t_x] at p = 1/2 from the reverse pass in rational arithmetic.
+EXACT_P05 = {2: Fraction(17620, 3087), 3: Fraction(180313870, 22235661)}
 
 
 class TestTransitionPoly:
@@ -215,3 +228,68 @@ def test_format_chain_dump():
     # one line per nonzero entry
     nonzero = sum(1 for row in build_chain(2).matrix for e in row if e.monomials)
     assert len(lines) == nonzero
+
+
+def _spec(rows):
+    return MarkovChainSpec(k=1, descriptions=tuple(f"state {i}" for i in range(len(rows))),
+                           transitions=tuple({j: TransitionPoly.parse(t) for j, t in row.items()}
+                                             for row in rows),
+                           absorbing_index=len(rows) - 1)
+
+
+class TestExactSolver:
+    def test_fraction_in_fraction_out(self):
+        assert isinstance(expected_absorption_time(build_chain(2), Fraction(1, 4)), Fraction)
+        assert isinstance(absorption_time_fine(build_fine_chain(2), Fraction(1, 4)), Fraction)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_hand_chain_equals_oracle_exactly(self, k):
+        for p in RATIONAL_P:
+            assert expected_absorption_time(build_chain(k), p) == absorption_time_fine(
+                build_fine_chain(k), p)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lossless_is_exactly_k(self, k):
+        assert expected_absorption_time(build_chain(k), Fraction(0)) == Fraction(k)
+        assert absorption_time_fine(build_fine_chain(k), Fraction(0)) == Fraction(k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pinned_rationals_at_half(self, k):
+        assert expected_absorption_time(build_chain(k), Fraction(1, 2)) == EXACT_P05[k]
+        assert absorption_time_fine(build_fine_chain(k), Fraction(1, 2)) == EXACT_P05[k]
+
+    def test_backward_edge_raises(self):
+        chain = _spec([{0: "p", 1: "s"}, {0: "s", 2: "p"}, {2: "1"}])
+        check_conservation(chain)
+        with pytest.raises(SolverError):
+            expected_absorption_time(chain, 0.5)
+
+    def test_stuck_transient_state_raises(self):
+        chain = _spec([{0: "p", 1: "s"}, {1: "1"}, {2: "1"}])
+        check_conservation(chain)
+        with pytest.raises(SolverError):
+            expected_absorption_time(chain, 0.5)
+
+    @pytest.mark.parametrize("tie_break", ["smallest", "largest"])
+    def test_fine_chain_successors_at_higher_index(self, tie_break):
+        for k in (1, 2, 3):
+            chain = build_fine_chain(k, tie_break)
+            assert chain.states[0] == ((), (), ())
+            for i, row in enumerate(chain.transitions):
+                assert all(j > i for j in row if j != i)
+
+
+def test_k4_oracle_memory_guard():
+    # a dense (I - Q) solve at k=4 (6098 states) alone peaks near 1.2 GB
+    code = ("import resource\n"
+            "from xorcast.markov import absorption_time_fine, build_fine_chain\n"
+            "print(absorption_time_fine(build_fine_chain(4), 0.5))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    value, max_rss_kib = done.stdout.split()
+    assert float(value) == pytest.approx(10.441042, abs=1e-6)
+    assert int(max_rss_kib) / 1024 < 300

@@ -16,6 +16,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(k=2, p=0.1, policy="greedy", trials=0, master_seed=0)
 
+    def test_greedy_k_limited_to_scan_dimension(self):
+        # constructed only: a greedy run at k=20 scans 2^20 codewords per step
+        ExperimentConfig(k=20, p=0.1, policy="greedy", trials=1, master_seed=0)
+        ExperimentConfig(k=21, p=0.1, policy="rl", trials=1, master_seed=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(k=21, p=0.1, policy="greedy", trials=1, master_seed=0)
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("raw, want", [(None, 1), ("", 1), ("1", 1), ("3", 3)])
+    def test_valid(self, monkeypatch, raw, want):
+        if raw is None:
+            monkeypatch.delenv("XORCAST_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("XORCAST_THREADS", raw)
+        assert sim._thread_count() == want
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "0", "2.5"])
+    def test_invalid_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("XORCAST_THREADS", raw)
+        with pytest.raises(ValueError):
+            sim._thread_count()
+
 
 class TestHashStreams:
     def test_scalar_vector_prf_equality(self):
