@@ -8,15 +8,28 @@ for every client, so each client needs exactly k receptions.
 
 Infinite sums are truncated once the summand drops below tail_epsilon and
 closed with a geometric tail estimate; reported values are good to 6 decimal
-places.
+places; past _MAX_TERMS terms a series raises SeriesLimitError. Each tail
+T(m, j0) = P[Bin(m, s) >= j0] is walked forward, T(m+1, j0) = T(m, j0) +
+s P[Bin(m, s) = j0-1], while it is the smaller side, then (where a running sum
+would drift near 1) summed from the lower side by _binom_tail: O(M + k M_lower).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import exp, lgamma, log
 
 _MAX_TERMS = 10_000_000
+
+
+class SeriesLimitError(RuntimeError):
+    """A bound series needs more than _MAX_TERMS terms to converge."""
+
+
+def _check_loss(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +43,7 @@ class BoundQuery:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {self.p}")
+        _check_loss(self.p)
         if not self.tail_epsilon > 0.0:
             raise ValueError(f"tail_epsilon must be positive, got {self.tail_epsilon}")
 
@@ -72,8 +84,7 @@ def p_delta(beta: int, p: float) -> float:
     """
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p}")
+    _check_loss(p)
     s = 1.0 - p
     stay_and_receive = s * p * p
     return stay_and_receive ** (beta - 1) * (s * p * p + 2 * s * s * p + s**3)
@@ -81,8 +92,7 @@ def p_delta(beta: int, p: float) -> float:
 
 def expected_delta(p: float) -> float:
     """Expected redundant codewords at the lagging client; in (0, 1] for p < 1."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p}")
+    _check_loss(p)
     s = 1.0 - p
     numerator = s * p * p + 2 * s * s * p + s**3
     return numerator / (1.0 - s * p * p) ** 2
@@ -123,6 +133,19 @@ def _binom_tail(m: int, j0: int, s: float, p: float) -> float:
     return min(1.0, max(0.0, acc.total))
 
 
+def _tail_walk(j0: int, s: float, p: float):
+    """Yield P[Bin(m, s) >= j0] for m = 0, 1, 2, ... (see the module docstring)."""
+    tail, f, m = _KahanSum(), 0.0, 0  # f = f(m) = P[Bin(m, s) = j0-1]; 0 reseeds
+    while j0 > (m + 1) * s:
+        yield tail.total
+        if m >= j0 - 1:
+            f = f or exp(_log_binom_term(m, j0 - 1, s, p))
+            tail.add(s * f)
+            f *= p * (m + 1) / (m + 2 - j0)
+        m += 1
+    yield from (_binom_tail(n, j0, s, p) for n in count(m))
+
+
 def d1(m: int, query: BoundQuery) -> float:
     """Probability one client holds at least k receptions after m transmissions."""
     if m < 0:
@@ -140,10 +163,13 @@ def d2(m: int, query: BoundQuery) -> float:
 def _survival_series(query: BoundQuery, completion_prob) -> float:
     """Sum_{m=0}^inf (1 - completion_prob(m)) with a geometric tail estimate.
 
-    completion_prob must be nondecreasing in m with limit 1 for p < 1.
+    completion_prob(m), called for m = 0, 1, 2, ... in order, rises to 1 and is <= 1 - p^m.
     """
     acc = _KahanSum()
     eps = query.tail_epsilon
+    limit = f"series needs more than {_MAX_TERMS} terms (k={query.k}, p={query.p})"
+    if query.p > 0.0 and log(eps) / log(query.p) > _MAX_TERMS:  # no summand below p^m
+        raise SeriesLimitError(limit)
     m = 0
     while True:
         term = 1.0 - completion_prob(m)
@@ -156,8 +182,7 @@ def _survival_series(query: BoundQuery, completion_prob) -> float:
         acc.add(term)
         m += 1
         if m > _MAX_TERMS:
-            raise RuntimeError(f"series did not converge within {_MAX_TERMS} terms "
-                               f"(k={query.k}, p={query.p})")
+            raise SeriesLimitError(limit)
     return acc.total
 
 
@@ -169,10 +194,12 @@ def expected_ell(query: BoundQuery) -> float:
     at-least-k tails times one at-least-k-plus-1 tail, and the expectation is
     the sum of the survival probabilities. The first k+1 terms are exactly 1.
     """
+    tail_k = _tail_walk(query.k, query.s, query.p)
+    tail_k1 = _tail_walk(query.k + 1, query.s, query.p)
+
     def completion(m: int) -> float:
-        a = _binom_tail(m, query.k, query.s, query.p)
-        b = _binom_tail(m, query.k + 1, query.s, query.p)
-        return a * a * b
+        a = next(tail_k)
+        return a * a * next(tail_k1)
 
     return _survival_series(query, completion)
 
@@ -184,8 +211,10 @@ def mds_expected(query: BoundQuery) -> float:
     is the cube of the at-least-k binomial tail. Lower bound for any linear
     erasure code.
     """
+    tail_k = _tail_walk(query.k, query.s, query.p)
+
     def completion(m: int) -> float:
-        a = _binom_tail(m, query.k, query.s, query.p)
+        a = next(tail_k)
         return a * a * a
 
     return _survival_series(query, completion)

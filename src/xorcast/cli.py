@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except sim.TransmissionCapError as exc:
+    except (sim.TransmissionCapError, bounds.SeriesLimitError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (markov.SolverError, CoverageSearchError) as exc:

@@ -259,3 +259,66 @@ def test_survival_series_guard(monkeypatch):
     q = BoundQuery(k=1, p=0.5)
     with pytest.raises(RuntimeError):
         bounds._survival_series(q, lambda m: 0.0)
+
+
+def _per_m_series(q, completion):
+    # the direct method: every tail recomputed from the public d1/d2
+    return bounds._survival_series(q, lambda m: completion(d1(m, q), d2(m, q)))
+
+
+@pytest.mark.parametrize("k, p", [(k, p) for k in (1, 2, 3, 8, 32)
+                                  for p in (0.0, 0.1, 0.5, 0.9)] + [(8, 0.99)])
+def test_tail_walk_matches_per_m_series(k, p):
+    q = BoundQuery(k=k, p=p)
+    assert expected_ell(q) == pytest.approx(_per_m_series(q, lambda a, b: a * a * b),
+                                            rel=1e-12)
+    assert mds_expected(q) == pytest.approx(_per_m_series(q, lambda a, b: a * a * a),
+                                            rel=1e-12)
+    if p == 0.0:
+        assert expected_ell(q) == k + 1 and mds_expected(q) == k
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.99, 0.999])
+def test_mds_k1_closed_form(p):
+    # k=1: the maximum of three geometric reception times
+    closed = 3 / (1 - p) - 3 / (1 - p**2) + 1 / (1 - p**3)
+    assert mds_expected(BoundQuery(k=1, p=p)) == pytest.approx(closed, rel=1e-9)
+
+
+def test_pinned_values_k32_p0995():
+    q = BoundQuery(k=32, p=0.995)
+    assert expected_ell(q) == pytest.approx(7446.422650, abs=1e-6)
+    assert mds_expected(q) == pytest.approx(7369.630291, abs=1e-6)
+
+
+def test_converges_where_a_full_walk_stalls():
+    # a plain running sum of T(m) for every m drifts near 1 by up to M ulps,
+    # holds 1 - T above tail_epsilon and ran this series to the term cap
+    assert mds_expected(BoundQuery(k=63, p=0.9999)) == pytest.approx(697952.993595, rel=1e-9)
+
+
+def test_series_additions_stay_linear(monkeypatch):
+    # deterministic operation count: the per-m tail sums made 15.96 M
+    # additions here, the forward walk about 0.6 M
+    calls = [0]
+    add = bounds._KahanSum.add
+
+    def counting_add(self, x):
+        calls[0] += 1
+        add(self, x)
+
+    monkeypatch.setattr(bounds._KahanSum, "add", counting_add)
+    q = BoundQuery(k=32, p=0.99)
+    expected_ell(q)
+    mds_expected(q)
+    assert calls[0] < 1_000_000
+
+
+def test_series_term_limit_raised_up_front(monkeypatch):
+    # no summand is below p^m, so at this p no series reaches tail_epsilon
+    # within _MAX_TERMS terms; it must raise before summing a single term
+    added = []
+    monkeypatch.setattr(bounds._KahanSum, "add", lambda self, x: added.append(x))
+    with pytest.raises(bounds.SeriesLimitError):
+        mds_expected(BoundQuery(k=2, p=0.999999))
+    assert not added

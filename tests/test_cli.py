@@ -77,6 +77,11 @@ class TestBound:
     def test_k1_rejected(self, capsys):
         assert run_cli(capsys, "bound", "--k", "1", "--p", "0.2")[0] == 1
 
+    def test_series_term_limit_is_runtime_error(self, capsys):
+        code, _, err = run_cli(capsys, "bound", "--k", "2", "--p", "0.999999")
+        assert code == 2
+        assert err.startswith("runtime error:") and "Traceback" not in err
+
 
 class TestSimulate:
     def test_lossless_greedy(self, capsys):
@@ -210,6 +215,11 @@ class TestFigure:
                                "--p-grid", "0.1", "--out", str(target))
         assert code == 2
         assert "cannot write" in err
+
+    def test_series_term_limit_is_runtime_error(self, capsys):
+        code, _, err = run_cli(capsys, "figure", "--which", "fig1a", "--p-grid", "0.999999")
+        assert code == 2
+        assert err.startswith("runtime error:") and "Traceback" not in err
 
 
 class TestFigureSpec:
