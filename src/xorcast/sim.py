@@ -6,13 +6,21 @@ any order, in parallel, scalar or vectorized, and reproduce bit-identical
 outcomes. Channels 0..2 are the per-client reception draws and channel 3 is
 the policy's own randomness; reception draws never depend on the policy,
 which gives common random numbers for paired policy comparisons.
+
+run_trial is the scalar reference. The vector engines are step functions on
+one trial driver, _drive, which hashes, checks the transmission cap and
+compacts finished trials for all of them: counts for mds and bound, the
+joint-state table for greedy (k <= 4), a subspace table for rl (k <= 4) and
+fully reduced per-client bases for rl above that.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,8 +41,9 @@ _BLOCK = 1 << 15
 
 CHANNEL_POLICY = 3
 
-# Greedy state spaces are enumerable up to the fine-chain limit; beyond that
-# trials fall back to the scalar per-trial path.
+# Up to the fine-chain limit greedy runs on the joint-state table and rl on the
+# subspace table; beyond it greedy falls back to the scalar per-trial path and
+# rl keeps a basis per client.
 _TABLE_DIM_LIMIT = markov.MAX_FINE_DIM
 
 
@@ -107,9 +116,13 @@ def _draw(tx_base: int, channel: int) -> float:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-    return z ^ (z >> np.uint64(31))
+    """_mix64 of every element, computed in z's own storage; returns z."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _trial_base_np(seed: int, trials: np.ndarray) -> np.ndarray:
@@ -121,9 +134,22 @@ def _tx_base_np(trial_base: np.ndarray, tx: int) -> np.ndarray:
     return _mix64_np(trial_base + np.uint64(((tx + 1) * _GAMMA_TX) & _MASK64))
 
 
+def _draw_words(tx_base: np.ndarray, channel: int) -> np.ndarray:
+    """Hash words of one channel; a draw is (word >> 11) * 2**-53."""
+    return _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
+
+
 def _draw_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
-    word = _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
-    return (word >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (_draw_words(tx_base, channel) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _reception_limit(p: float) -> np.uint64:
+    """Largest hash word that is a reception: word <= limit iff its draw < 1 - p.
+
+    With m = word >> 11 the draw m * 2**-53 is below s iff m < ceil(s * 2**53),
+    both sides exact; the limit is at most 2**64 - 1, reached at p = 0.
+    """
+    return np.uint64(math.ceil((1.0 - p) * 2.0**53) * 2**11 - 1)
 
 
 def _nonzero_vector(u: float, k: int) -> int:
@@ -176,101 +202,164 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> int:
     return t
 
 
-def _reception_masks(seed: int, trials: np.ndarray, tx: int, s: float) -> np.ndarray:
-    """Per-trial 3-bit reception masks at one transmission index."""
-    h = _tx_base_np(_trial_base_np(seed, trials), tx)
-    mask = np.zeros(trials.shape, dtype=np.int64)
-    for c in range(3):
-        mask |= (_draw_np(h, c) < s).astype(np.int64) << c
-    return mask
+def _rl_vectors(tx_base: np.ndarray, config: ExperimentConfig, dtype) -> np.ndarray:
+    """Coding vectors of the rl policy, drawn as run_trial draws them."""
+    k = config.k
+    span_size = float((1 << k) if config.rl_include_zero else (1 << k) - 1)
+    w = (_draw_np(tx_base, CHANNEL_POLICY) * span_size).astype(dtype)
+    if not config.rl_include_zero:
+        w += dtype(1)
+    return w
+
+
+def _drive(config: ExperimentConfig, lo: int, hi: int, state: list, step) -> np.ndarray:
+    """Run trials lo..hi-1 to completion; returns their transmission counts.
+
+    state holds arrays whose first axis is the trial. Each transmission,
+    step(h, recv, state) advances every unfinished trial in place, given the
+    transmission hashes h and the three per-client reception masks recv, and
+    returns the mask of trials that are now done. Done trials are compacted
+    out of every array, so steps see only unfinished trials, in trial order.
+    """
+    base = _trial_base_np(config.master_seed, np.arange(lo, hi, dtype=np.uint64))
+    idx = np.arange(hi - lo)
+    tx_out = np.zeros(hi - lo, dtype=np.int64)
+    limit = _reception_limit(config.p)
+    t = 0
+    while idx.size:
+        if t >= config.max_tx_per_trial:
+            raise TransmissionCapError(lo + int(idx[0]), config.max_tx_per_trial)
+        h = _tx_base_np(base, t)
+        recv = [_draw_words(h, c) <= limit for c in range(3)]
+        done = step(h, recv, state)
+        t += 1
+        if done.any():
+            tx_out[idx[done]] = t
+            keep = ~done
+            idx, base = idx[keep], base[keep]
+            for i, array in enumerate(state):  # one at a time, to bound peak memory
+                state[i] = array[keep]
+    return tx_out
 
 
 def _counts_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    """Vectorized mds / bound trials: termination at per-client reception targets."""
-    s = 1.0 - config.p
+    """mds / bound trials: each client needs a fixed number of receptions."""
     k = config.k
-    targets = np.array([k, k, k + 1 if config.policy == "bound" else k], dtype=np.int64)
-    trials = np.arange(lo, hi, dtype=np.uint64)
-    counts = np.zeros((hi - lo, 3), dtype=np.int64)
-    tx_out = np.zeros(hi - lo, dtype=np.int64)
-    active = np.arange(hi - lo)
-    t = 0
-    while active.size:
-        if t >= config.max_tx_per_trial:
-            raise TransmissionCapError(lo + int(active[0]), config.max_tx_per_trial)
-        h = _tx_base_np(_trial_base_np(config.master_seed, trials[active]), t)
+    targets = (k, k, k + 1 if config.policy == "bound" else k)
+    # need[c][i]: receptions client c of trial i still lacks
+    need = [np.full(hi - lo, target, dtype=np.int64) for target in targets]
+
+    def step(h, recv, need):
         for c in range(3):
-            counts[active, c] += (_draw_np(h, c) < s).astype(np.int64)
-        t += 1
-        done = np.all(counts[active] >= targets, axis=1)
-        tx_out[active[done]] = t
-        active = active[~done]
-    return tx_out
+            need[c] -= recv[c]
+        return (need[0] <= 0) & (need[1] <= 0) & (need[2] <= 0)
+
+    return _drive(config, lo, hi, need, step)
 
 
-def _table_block(config: ExperimentConfig, table: np.ndarray, start: int,
-                 absorbing: int, lo: int, hi: int) -> np.ndarray:
-    """Vectorized greedy trials driven by the precomputed joint-state table."""
-    s = 1.0 - config.p
-    trials = np.arange(lo, hi, dtype=np.uint64)
-    state = np.full(hi - lo, start, dtype=np.int64)
-    tx_out = np.zeros(hi - lo, dtype=np.int64)
-    active = np.arange(hi - lo)
-    if start == absorbing:
-        return tx_out
-    t = 0
-    while active.size:
-        if t >= config.max_tx_per_trial:
-            raise TransmissionCapError(lo + int(active[0]), config.max_tx_per_trial)
-        mask = _reception_masks(config.master_seed, trials[active], t, s)
-        state[active] = table[state[active], mask]
-        t += 1
-        done = state[active] == absorbing
-        tx_out[active[done]] = t
-        active = active[~done]
-    return tx_out
+def _table_block(config: ExperimentConfig, table: np.ndarray, absorbing: int,
+                 lo: int, hi: int) -> np.ndarray:
+    """Greedy trials on the joint-state table; state 0 holds no receptions."""
+    flat = table.ravel()
+
+    def step(h, recv, state):
+        key = state[0] << 3
+        key |= recv[0]
+        key |= recv[1] << 1
+        key |= recv[2] << 2
+        np.take(flat, key, out=state[0])
+        return state[0] == absorbing
+
+    return _drive(config, lo, hi, [np.zeros(hi - lo, dtype=np.intp)], step)
 
 
-def _rl_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    """Vectorized random-linear trials with per-trial bit-packed bases."""
-    s = 1.0 - config.p
+@lru_cache(maxsize=None)
+def _subspace_table(k: int) -> tuple[np.ndarray, int]:
+    """(nxt, full): nxt[span, w] is the span after receiving w, over all subspaces
+    of GF(2)^k, found breadth-first from {0}; full is the index of GF(2)^k.
+
+    Spans are keyed by their fully reduced RREF row tuples, which are canonical.
+    Column 0 (the zero vector) maps every span to itself.
+    """
+    index = {(): 0}
+    order = [()]
+    rows = []
+    for basis in order:  # grows as new spans are found
+        row = []
+        for w in range(1 << k):
+            grown = rref_insert(basis, w)
+            if grown is None:
+                row.append(index[basis])
+                continue
+            if grown not in index:
+                index[grown] = len(order)
+                order.append(grown)
+            row.append(index[grown])
+        rows.append(row)
+    # breadth-first order finds spans by dimension, so GF(2)^k comes last
+    return np.array(rows, dtype=np.intp), len(order) - 1
+
+
+def _rl_table_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """rl trials for k <= _TABLE_DIM_LIMIT: each client's span is a table index."""
+    nxt, full = _subspace_table(config.k)
+    flat = nxt.ravel()
+    width = nxt.shape[1]
+
+    def step(h, recv, span):
+        w = _rl_vectors(h, config, np.intp)
+        for c in range(3):
+            # a lost codeword acts as the zero vector, which leaves the span as it is
+            key = span[c] * width
+            key += w * recv[c]
+            np.take(flat, key, out=span[c])
+        return (span[0] == full) & (span[1] == full) & (span[2] == full)
+
+    return _drive(config, lo, hi, [np.zeros(hi - lo, dtype=np.intp) for _ in range(3)], step)
+
+
+def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """rl trials for k > _TABLE_DIM_LIMIT on fully reduced per-client bases.
+
+    basis[c][i, j] is client c's row whose pivot (lowest set bit) is bit j, or 0.
+    Every row is zero at the other rows' pivots, so w reduces to w xor the rows
+    that its own bits select, in one pass.
+    """
     k = config.k
     n = hi - lo
-    trials = np.arange(lo, hi, dtype=np.uint64)
-    # basis[c][i, pos] = row whose lowest set bit is pos, or 0 if absent
-    basis = np.zeros((3, n, k), dtype=np.uint64)
-    ranks = np.zeros((3, n), dtype=np.int64)
-    tx_out = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    span_size = float((1 << k) if config.rl_include_zero else (1 << k) - 1)
-    offset = 0 if config.rl_include_zero else 1
-    t = 0
-    while active.size:
-        if t >= config.max_tx_per_trial:
-            raise TransmissionCapError(lo + int(active[0]), config.max_tx_per_trial)
-        h = _tx_base_np(_trial_base_np(config.master_seed, trials[active]), t)
-        w = (_draw_np(h, CHANNEL_POLICY) * span_size).astype(np.uint64) + np.uint64(offset)
+    one = np.uint64(1)
+
+    def step(h, recv, state):
+        basis, rank = state[:3], state[3:]
+        w = _rl_vectors(h, config, np.uint64)
+        # bits[i, j] = bit j of w[i]
+        bits = np.unpackbits(w.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                             count=k, bitorder="little")
         for c in range(3):
-            recv = _draw_np(h, c) < s
-            open_rank = ranks[c, active] < k
-            reduce = np.where(recv & open_rank, w, np.uint64(0))
-            for pos in range(k):
-                row = basis[c, active, pos]
-                hit = ((reduce >> np.uint64(pos)) & np.uint64(1)).astype(bool) & (row != 0)
-                reduce = np.where(hit, reduce ^ row, reduce)
-            innovative = reduce != 0
-            if innovative.any():
-                idx = active[innovative]
-                vals = reduce[innovative]
-                low = vals & (np.bitwise_not(vals) + np.uint64(1))
-                pos_star = np.log2(low.astype(np.float64)).astype(np.int64)
-                basis[c, idx, pos_star] = vals
-                ranks[c, idx] += 1
-        t += 1
-        done = np.all(ranks[:, active] >= k, axis=0)
-        tx_out[active[done]] = t
-        active = active[~done]
-    return tx_out
+            pick = np.flatnonzero(recv[c] & (rank[c] < k))
+            if not pick.size:
+                continue
+            rows = basis[c][pick]
+            terms = np.multiply(rows, bits[pick], dtype=np.uint64)
+            reduced = np.bitwise_xor.reduce(terms, axis=1)
+            reduced ^= w[pick]
+            # the new pivot bit, 0 where w was already in the span
+            low = reduced & (~reduced + one)
+            # clear it from the client's other rows: hit = reduced where a row has it
+            hit = np.bitwise_and(rows, low[:, None], out=terms)
+            np.minimum(hit, one, out=hit)
+            hit *= reduced[:, None]
+            rows ^= hit
+            new = np.flatnonzero(low)
+            pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
+            rows[new, pivot] = reduced[new]
+            basis[c][pick] = rows
+            rank[c][pick[new]] += 1
+        return (rank[0] == k) & (rank[1] == k) & (rank[2] == k)
+
+    state = ([np.zeros((n, k), dtype=np.uint64) for _ in range(3)]
+             + [np.zeros(n, dtype=np.int64) for _ in range(3)])
+    return _drive(config, lo, hi, state, step)
 
 
 def _scalar_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
@@ -294,18 +383,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.policy in ("mds", "bound"):
         block_fn = _counts_block
     elif config.policy == "rl":
-        block_fn = _rl_block
+        block_fn = _rl_table_block if config.k <= _TABLE_DIM_LIMIT else _rl_basis_block
     elif config.k <= _TABLE_DIM_LIMIT:
         chain = markov.build_fine_chain(config.k, "smallest")
         table = np.array(
             [row if row is not None else (i,) * 8
              for i, row in enumerate(chain.mask_successors)],
-            dtype=np.int64,
+            dtype=np.intp,
         )
         absorbing = chain.absorbing_index
 
         def block_fn(cfg, lo, hi):
-            return _table_block(cfg, table, 0, absorbing, lo, hi)
+            return _table_block(cfg, table, absorbing, lo, hi)
     else:
         block_fn = _scalar_block
 

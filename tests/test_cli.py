@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -174,6 +175,23 @@ class TestFigure:
             assert figure == "fig1a" and k == "2"
             if metric != "rl_sim_stderr":
                 assert float(value) >= 1.0
+
+    # SHA-256 of the figure CSVs at --seed 1 --k-max 10. A change that alters
+    # the random streams on purpose (such as a fix of rl draws for k >= 54)
+    # must update these pins and say so in CHANGES.md.
+    PINNED_CSV_SHA256 = {
+        ("fig1a", 2000): "06d4a4c3bc96e4ad54da825f096afdf2abe602da1f0c8200089651f42eec6001",
+        ("fig1b", 2000): "0825c2e0fef3406dc1f65fd37c2b1a145989382a7368b664f33faa6866979816",
+        ("fig2", 400): "2424074c6a646c5e757c03ed68ae614bec3cd0ee911e98beb72ef11d755d3e1a",
+    }
+
+    def test_csv_bytes_pinned_at_fixed_seed(self, capsys, tmp_path):
+        for (which, trials), want in self.PINNED_CSV_SHA256.items():
+            path = tmp_path / f"{which}.csv"
+            assert cli.main(["figure", "--which", which, "--k-max", "10", "--trials",
+                             str(trials), "--seed", "1", "--out", str(path)]) == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want, which
+        capsys.readouterr()
 
     def test_fig2_matches_bound_command(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "--which", "fig2", "--k-max", "4",

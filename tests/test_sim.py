@@ -51,6 +51,19 @@ class TestHashStreams:
                     scalar = sim._draw(sim._tx_base(sim._trial_base(12345, t), tx), channel)
                     assert scalar == vec[t]
 
+    @pytest.mark.parametrize("p", [0.0, 1 / 3, 0.4, 0.5, 0.999, 1 - 2.0**-53])
+    def test_reception_limit_matches_draws(self, p):
+        s = 1.0 - p
+        limit = int(sim._reception_limit(p))
+        # words on both sides of the boundary, plus the extremes
+        m = min(int(np.ceil(s * 2.0**53)), 2**53)
+        edge = [(q << 11) | low for q in (m - 2, m - 1, m) if 0 <= q < 2**53
+                for low in (0, 2**11 - 1)]
+        trials = np.arange(0, 4000, dtype=np.uint64)
+        hashed = sim._draw_words(sim._tx_base_np(sim._trial_base_np(3, trials), 0), 1)
+        for word in edge + [0, 2**64 - 1] + [int(x) for x in hashed]:
+            assert (word <= limit) == ((word >> 11) * 2.0**-53 < s)
+
     def test_uniform_range_and_spread(self):
         trials = np.arange(0, 20000, dtype=np.uint64)
         u = sim._draw_np(sim._tx_base_np(sim._trial_base_np(7, trials), 0), 1)
@@ -101,15 +114,34 @@ class TestRunExperiment:
         assert np.array_equal(r1.tx_counts, r2.tx_counts)
 
     def test_threading_bit_identical(self, monkeypatch):
-        cfg = ExperimentConfig(k=2, p=0.5, policy="greedy", trials=100_000, master_seed=5)
-        serial = run_experiment(cfg)
-        monkeypatch.setenv("XORCAST_THREADS", "3")
-        threaded = run_experiment(cfg)
-        assert np.array_equal(serial.tx_counts, threaded.tx_counts)
+        # greedy table, rl subspace table, rl bases and counts; every config
+        # but the first spans at least two blocks
+        configs = [
+            ExperimentConfig(k=2, p=0.5, policy="greedy", trials=100_000, master_seed=5),
+            ExperimentConfig(k=3, p=0.5, policy="rl", trials=sim._BLOCK + 5000, master_seed=5),
+            ExperimentConfig(k=8, p=0.5, policy="rl", trials=sim._BLOCK + 5000, master_seed=5),
+            ExperimentConfig(k=32, p=0.5, policy="mds", trials=sim._BLOCK + 5000, master_seed=5),
+        ]
+        for cfg in configs:
+            monkeypatch.delenv("XORCAST_THREADS", raising=False)
+            serial = run_experiment(cfg)
+            for threads in ("2", "3"):
+                monkeypatch.setenv("XORCAST_THREADS", threads)
+                threaded = run_experiment(cfg)
+                assert np.array_equal(serial.tx_counts, threaded.tx_counts), (cfg, threads)
 
-    @pytest.mark.parametrize("policy", ["greedy", "rl", "mds", "bound"])
-    def test_vectorized_matches_scalar(self, policy):
-        cfg = ExperimentConfig(k=3, p=0.4, policy=policy, trials=300, master_seed=99)
+    # rl on both sides of the subspace-table limit (k <= 4 table, k > 4 bases)
+    @pytest.mark.parametrize("policy, k, p, include_zero", [
+        pytest.param(policy, 3, 0.4, False, id=policy)
+        for policy in ("greedy", "rl", "mds", "bound")
+    ] + [
+        pytest.param("rl", k, p, zero, id=f"rl-k{k}-p{p}-{'zero' if zero else 'nonzero'}")
+        for k in (2, 4, 5, 8, 32) for p in (0.0, 0.4, 0.8) for zero in (False, True)
+    ])
+    def test_vectorized_matches_scalar(self, policy, k, p, include_zero):
+        trials = 300 if k <= 8 else 100
+        cfg = ExperimentConfig(k=k, p=p, policy=policy, trials=trials, master_seed=99,
+                               rl_include_zero=include_zero)
         scalar = np.array([run_trial(cfg, i) for i in range(cfg.trials)])
         res = run_experiment(cfg)
         assert np.array_equal(scalar, res.tx_counts)
@@ -129,10 +161,45 @@ class TestRunExperiment:
         assert min(res.histogram) >= 2
 
     def test_cap_error_propagates(self):
-        cfg = ExperimentConfig(k=3, p=0.8, policy="greedy", trials=50, master_seed=1,
-                               max_tx_per_trial=2)
-        with pytest.raises(TransmissionCapError):
-            run_experiment(cfg)
+        # the reported trial is the lowest one that needs more than the cap,
+        # as run_trial finds it: finished trials leave the working arrays, but
+        # the rest keep their order
+        configs = [
+            ExperimentConfig(k=3, p=0.8, policy="greedy", trials=50, master_seed=1,
+                             max_tx_per_trial=2),
+            ExperimentConfig(k=3, p=0.5, policy="greedy", trials=400, master_seed=1,
+                             max_tx_per_trial=12),
+            ExperimentConfig(k=3, p=0.5, policy="rl", trials=400, master_seed=1,
+                             max_tx_per_trial=21),
+            ExperimentConfig(k=8, p=0.5, policy="rl", trials=400, master_seed=1,
+                             max_tx_per_trial=43),
+            ExperimentConfig(k=5, p=0.5, policy="mds", trials=400, master_seed=1,
+                             max_tx_per_trial=21),
+            ExperimentConfig(k=5, p=0.5, policy="bound", trials=400, master_seed=1,
+                             max_tx_per_trial=23),
+        ]
+        for cfg in configs:
+            expected = None
+            for i in range(cfg.trials):
+                try:
+                    run_trial(cfg, i)
+                except TransmissionCapError:
+                    expected = i
+                    break
+            assert expected is not None
+            with pytest.raises(TransmissionCapError) as err:
+                run_experiment(cfg)
+            assert err.value.trial_index == expected, cfg
+
+
+class TestSubspaceTable:
+    @pytest.mark.parametrize("k, subspaces", [(1, 2), (2, 5), (3, 16), (4, 67)])
+    def test_counts_and_absorption(self, k, subspaces):
+        nxt, full = sim._subspace_table(k)
+        assert nxt.shape == (subspaces, 1 << k)
+        # the zero vector changes no span; the whole space absorbs every vector
+        assert np.array_equal(nxt[:, 0], np.arange(subspaces))
+        assert np.all(nxt[full] == full)
 
 
 class TestPolicyOrdering:
