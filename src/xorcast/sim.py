@@ -16,7 +16,6 @@ fully reduced per-client bases for rl above that.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,6 +37,10 @@ _GAMMA_CHANNEL = 0x165667B19E3779F9
 POLICIES = ("greedy", "rl", "mds", "bound")
 
 _BLOCK = 1 << 15
+# rl bases take at most this many trials of one client at a time, so the gathered
+# rows and their temporaries stay near 1 MB each (k = 32) instead of growing with
+# the block
+_PICK_ROWS = 1 << 12
 
 CHANNEL_POLICY = 3
 
@@ -134,22 +137,9 @@ def _tx_base_np(trial_base: np.ndarray, tx: int) -> np.ndarray:
     return _mix64_np(trial_base + np.uint64(((tx + 1) * _GAMMA_TX) & _MASK64))
 
 
-def _draw_words(tx_base: np.ndarray, channel: int) -> np.ndarray:
-    """Hash words of one channel; a draw is (word >> 11) * 2**-53."""
-    return _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
-
-
 def _draw_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
-    return (_draw_words(tx_base, channel) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def _reception_limit(p: float) -> np.uint64:
-    """Largest hash word that is a reception: word <= limit iff its draw < 1 - p.
-
-    With m = word >> 11 the draw m * 2**-53 is below s iff m < ceil(s * 2**53),
-    both sides exact; the limit is at most 2**64 - 1, reached at p = 0.
-    """
-    return np.uint64(math.ceil((1.0 - p) * 2.0**53) * 2**11 - 1)
+    word = _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
+    return (word >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _nonzero_vector(u: float, k: int) -> int:
@@ -224,13 +214,13 @@ def _drive(config: ExperimentConfig, lo: int, hi: int, state: list, step) -> np.
     base = _trial_base_np(config.master_seed, np.arange(lo, hi, dtype=np.uint64))
     idx = np.arange(hi - lo)
     tx_out = np.zeros(hi - lo, dtype=np.int64)
-    limit = _reception_limit(config.p)
+    s = 1.0 - config.p
     t = 0
     while idx.size:
         if t >= config.max_tx_per_trial:
             raise TransmissionCapError(lo + int(idx[0]), config.max_tx_per_trial)
         h = _tx_base_np(base, t)
-        recv = [_draw_words(h, c) <= limit for c in range(3)]
+        recv = [_draw_np(h, c) < s for c in range(3)]
         done = step(h, recv, state)
         t += 1
         if done.any():
@@ -337,24 +327,24 @@ def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
                              count=k, bitorder="little")
         for c in range(3):
             pick = np.flatnonzero(recv[c] & (rank[c] < k))
-            if not pick.size:
-                continue
-            rows = basis[c][pick]
-            terms = np.multiply(rows, bits[pick], dtype=np.uint64)
-            reduced = np.bitwise_xor.reduce(terms, axis=1)
-            reduced ^= w[pick]
-            # the new pivot bit, 0 where w was already in the span
-            low = reduced & (~reduced + one)
-            # clear it from the client's other rows: hit = reduced where a row has it
-            hit = np.bitwise_and(rows, low[:, None], out=terms)
-            np.minimum(hit, one, out=hit)
-            hit *= reduced[:, None]
-            rows ^= hit
-            new = np.flatnonzero(low)
-            pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
-            rows[new, pivot] = reduced[new]
-            basis[c][pick] = rows
-            rank[c][pick[new]] += 1
+            for at in range(0, pick.size, _PICK_ROWS):
+                part = pick[at:at + _PICK_ROWS]
+                rows = basis[c][part]
+                terms = np.multiply(rows, bits[part], dtype=np.uint64)
+                reduced = np.bitwise_xor.reduce(terms, axis=1)
+                reduced ^= w[part]
+                # the new pivot bit, 0 where w was already in the span
+                low = reduced & (~reduced + one)
+                # clear it from the client's other rows: hit = reduced where a row has it
+                hit = np.bitwise_and(rows, low[:, None], out=terms)
+                np.minimum(hit, one, out=hit)
+                hit *= reduced[:, None]
+                rows ^= hit
+                new = np.flatnonzero(low)
+                pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
+                rows[new, pivot] = reduced[new]
+                basis[c][part] = rows
+                rank[c][part[new]] += 1
         return (rank[0] == k) & (rank[1] == k) & (rank[2] == k)
 
     state = ([np.zeros((n, k), dtype=np.uint64) for _ in range(3)]

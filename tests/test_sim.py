@@ -51,19 +51,6 @@ class TestHashStreams:
                     scalar = sim._draw(sim._tx_base(sim._trial_base(12345, t), tx), channel)
                     assert scalar == vec[t]
 
-    @pytest.mark.parametrize("p", [0.0, 1 / 3, 0.4, 0.5, 0.999, 1 - 2.0**-53])
-    def test_reception_limit_matches_draws(self, p):
-        s = 1.0 - p
-        limit = int(sim._reception_limit(p))
-        # words on both sides of the boundary, plus the extremes
-        m = min(int(np.ceil(s * 2.0**53)), 2**53)
-        edge = [(q << 11) | low for q in (m - 2, m - 1, m) if 0 <= q < 2**53
-                for low in (0, 2**11 - 1)]
-        trials = np.arange(0, 4000, dtype=np.uint64)
-        hashed = sim._draw_words(sim._tx_base_np(sim._trial_base_np(3, trials), 0), 1)
-        for word in edge + [0, 2**64 - 1] + [int(x) for x in hashed]:
-            assert (word <= limit) == ((word >> 11) * 2.0**-53 < s)
-
     def test_uniform_range_and_spread(self):
         trials = np.arange(0, 20000, dtype=np.uint64)
         u = sim._draw_np(sim._tx_base_np(sim._trial_base_np(7, trials), 0), 1)
