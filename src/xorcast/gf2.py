@@ -4,14 +4,19 @@ Vectors live in GF(2)^k and are stored as Python ints, bit j being the
 coefficient of input packet j+1. Client-side state is a basis in reduced
 row-echelon form (pivot = lowest set bit), which makes span membership a
 single elimination pass and gives every span a canonical representation.
+A span can also be held as a 2^k-bit mask whose bit w is set iff w is in the
+span, and subspace_table enumerates every subspace of GF(2)^k at small k.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 MAX_DIM = 63
+# Span masks hold 2^k bits, which is desk scale only up to here.
+MAX_MASK_DIM = 20
 
 
 class DimensionMismatchError(ValueError):
@@ -67,11 +72,6 @@ class InsertResult(enum.Enum):
     DEPENDENT = "dependent"
 
 
-def _pivot(row: int) -> int:
-    """Lowest set bit of a nonzero row."""
-    return row & -row
-
-
 def rref_reduce(rows: tuple[int, ...], bits: int) -> int:
     """Reduce bits against RREF rows (ascending pivots); 0 iff bits is in the span."""
     for row in rows:
@@ -109,6 +109,59 @@ def span_of_rows(rows) -> frozenset[int]:
     for row in rows:
         span |= {x ^ row for x in span}
     return frozenset(span)
+
+
+@lru_cache(maxsize=None)
+def _low_halves(k: int) -> tuple[int, ...]:
+    """Masks over [0, 2^k): entry j has bit x set iff bit j of x is 0."""
+    halves = []
+    for j in range(k):
+        mask = (1 << (1 << j)) - 1
+        for i in range(j + 1, k):  # double the pattern up to 2^k bits
+            mask |= mask << (1 << i)
+        halves.append(mask)
+    return tuple(halves)
+
+
+def span_mask(rows, k: int) -> int:
+    """The span of rows as a 2^k-bit int whose bit w is set iff w is in it.
+
+    Each row adds the span's translate by that row, which swaps the halves
+    that each set bit j of the row selects.
+    """
+    if k > MAX_MASK_DIM:
+        raise ValueError(f"span masks hold 2^k bits and support k <= {MAX_MASK_DIM}, got {k}")
+    mask, halves = 1, _low_halves(k)
+    for row in rows:
+        moved = mask
+        while row:
+            j = (row & -row).bit_length() - 1
+            moved = ((moved & halves[j]) << (1 << j)) | ((moved >> (1 << j)) & halves[j])
+            row &= row - 1
+        mask |= moved
+    return mask
+
+
+@lru_cache(maxsize=None)
+def subspace_table(k: int) -> tuple[tuple, tuple, tuple]:
+    """(bases, members, nxt) over every subspace of GF(2)^k, indexed breadth-first
+    from {0}, so by dimension with GF(2)^k last (5, 16 and 67 spans at k = 2, 3, 4).
+
+    bases[s] is span s as fully reduced RREF rows, which are canonical;
+    members[s] is its span mask; nxt[s][w] is the index of span s + w.
+    """
+    index, bases, members, nxt = {(): 0}, [()], [], []
+    for basis in bases:  # grows as new spans are found
+        members.append(span_mask(basis, k))
+        row = []
+        for w in range(1 << k):
+            grown = rref_insert(basis, w) or basis
+            if grown not in index:
+                index[grown] = len(bases)
+                bases.append(grown)
+            row.append(index[grown])
+        nxt.append(tuple(row))
+    return tuple(bases), tuple(members), tuple(nxt)
 
 
 class ClientDecoder:
@@ -154,9 +207,6 @@ class ClientDecoder:
     def basis(self) -> tuple[int, ...]:
         """RREF basis rows, ascending pivot order."""
         return self._rows
-
-    def basis_vectors(self) -> list[CodingVector]:
-        return [CodingVector(row, self.k) for row in self._rows]
 
     def is_satisfied(self) -> bool:
         return len(self._rows) == self.k
@@ -243,18 +293,6 @@ def rank(vectors: list) -> int:
         if r == len(work):
             break
     return r
-
-
-def contains(decoder: ClientDecoder, w) -> bool:
-    return decoder.contains(w)
-
-
-def insert(decoder: ClientDecoder, w) -> InsertResult:
-    return decoder.insert(w)
-
-
-def decode(decoder: ClientDecoder, payloads: list[bytes]) -> list[bytes]:
-    return decoder.decode(payloads)
 
 
 def encode_payload(vector, packets: list[bytes]) -> bytes:

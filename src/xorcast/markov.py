@@ -5,8 +5,9 @@ k=3 (29 states) have hand-entered transition matrices whose entries are exact
 bivariate polynomials in (s, p); storing them symbolically lets the row-sum
 identity sum == 1 under p = 1-s be checked with integer arithmetic, which
 catches entry slips that numeric spot checks would miss. The fine-grained
-chain enumerates raw joint decoder states under the greedy policy and is the
-independent oracle the aggregated matrices are validated against.
+chain enumerates raw joint decoder states under the greedy policy, as triples
+of indices into gf2.subspace_table, and is the independent oracle the
+aggregated matrices are validated against.
 
 Both chains keep sparse rows {j: entry}, and every off-diagonal transition goes
 to a higher index (it strictly raises total rank), so (I - Q) mu = 1 is
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .gf2 import rref_insert, span_of_rows
+from .gf2 import subspace_table
 from .policy import _scan_spans
 
 RESIDUAL_TOL = 1e-9
@@ -272,6 +273,7 @@ def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
         raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p} "
                          "(expected transmissions diverge at p = 1)")
     mu = [0 * p] * chain.n_states
+    evaluate = lru_cache(maxsize=None)(lambda entry: entry.evaluate(p))  # once per entry
     for i in range(chain.n_states - 1, -1, -1):
         if i == chain.absorbing_index:
             continue
@@ -280,9 +282,9 @@ def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
             if j < i:
                 raise SolverError(f"transition {i} -> {j} goes to a lower index")
             if j == i:
-                stay = entry.evaluate(p)
+                stay = evaluate(entry)
             else:
-                off += entry.evaluate(p) * mu[j]
+                off += evaluate(entry) * mu[j]
         if stay == 1:
             raise SolverError(f"transient state {i} never leaves itself")
         mu[i] = (1 + off) / (1 - stay)
@@ -301,10 +303,11 @@ def expected_absorption_time(chain: MarkovChainSpec, p: float) -> float:
 class FineChain:
     """Joint decoder-state chain under the greedy policy; the validation oracle.
 
-    states are triples of RREF basis-row tuples, index 0 the all-empty state.
+    states are triples of RREF basis-row tuples, index 0 the all-empty state,
+    sorted stably by total rank. choices[i] is the greedy codeword of state i.
     mask_successors[i][m] is the successor when reception mask m (bit c set =
-    client c received) occurs; transitions aggregate the 8 masks into
-    polynomial entries.
+    client c received) occurs; transitions count the 8 masks per successor
+    and number of receptions into polynomial entries, shared between rows.
     """
 
     k: int
@@ -321,10 +324,18 @@ class FineChain:
 
 
 @lru_cache(maxsize=None)
+def _count_poly(count: tuple[int, ...]) -> TransitionPoly:
+    """Sum of count[r] s^r p^(3-r), for count[r] reception masks with r receivers."""
+    return TransitionPoly(tuple(sorted((n, r, 3 - r) for r, n in enumerate(count) if n)))
+
+
+@lru_cache(maxsize=None)
 def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     """Breadth-first closure of joint states reachable from empty under greedy.
 
-    Treat the result as immutable; instances are cached and shared.
+    The closure runs on triples of subspace_table(k) indices: each state takes
+    one codeword choice on the span masks and finds its successors by table
+    lookup. Treat the result as immutable; instances are cached and shared.
     """
     if not 1 <= k <= MAX_FINE_DIM:
         raise ValueError(f"fine chain supports 1 <= k <= {MAX_FINE_DIM}, got {k}: "
@@ -332,49 +343,34 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     if tie_break not in ("smallest", "largest"):
         raise ValueError(f"fine chain needs a deterministic tie_break, got {tie_break!r}")
 
-    full = tuple(1 << j for j in range(k))
-    start = ((), (), ())
-    states: list[tuple[tuple[int, ...], ...]] = [start]
-    index: dict[tuple, int] = {start: 0}
+    bases, members, nxt = subspace_table(k)
+    full = len(bases) - 1
+    states: list[tuple[int, int, int]] = [(0, 0, 0)]  # triples of span indices
+    index = {(0, 0, 0): 0}
     choices: list[int | None] = []
     mask_successors: list[tuple[int, ...] | None] = []
-
-    i = 0
-    while i < len(states):
-        state = states[i]
-        if all(rows == full for rows in state):
+    for state in states:  # grows as new states are found
+        if state == (full, full, full):
             choices.append(None)
             mask_successors.append(None)
-            i += 1
             continue
-        spans = [span_of_rows(rows) for rows in state if len(rows) < k]
-        w, _ = _scan_spans(spans, k, tie_break, None)
-        succ = []
-        for mask in range(8):
-            rows_out = []
-            for c in range(3):
-                rows = state[c]
-                if (mask >> c) & 1 and len(rows) < k:
-                    inserted = rref_insert(rows, w)
-                    rows = inserted if inserted is not None else rows
-                rows_out.append(rows)
-            key = tuple(rows_out)
-            nxt = index.get(key)
-            if nxt is None:
-                nxt = len(states)
-                index[key] = nxt
+        w, _ = _scan_spans([members[s] for s in state if s != full], k, tie_break, None)
+        (a, b, c), (x, y, z) = state, (nxt[s][w] for s in state)
+        succ = []  # under reception masks 0..7, bit c set = client c received
+        for key in ((a, b, c), (x, b, c), (a, y, c), (x, y, c),
+                    (a, b, z), (x, b, z), (a, y, z), (x, y, z)):
+            if key not in index:
+                index[key] = len(states)
                 states.append(key)
-            succ.append(nxt)
+            succ.append(index[key])
         choices.append(w)
         mask_successors.append(tuple(succ))
-        i += 1
-
     if (full, full, full) not in index:
         raise SolverError("fine chain closure never reached the full-rank state")
 
     # Stable sort by total rank, which every non-self transition raises: the
     # solver's ordering contract then holds and the empty state stays at 0.
-    order = sorted(range(len(states)), key=lambda i: sum(map(len, states[i])))
+    order = sorted(range(len(states)), key=lambda i: sum(len(bases[s]) for s in states[i]))
     position = {old: new for new, old in enumerate(order)}
     mask_successors = [None if succ is None else tuple(position[j] for j in succ)
                        for succ in mask_successors]
@@ -386,15 +382,15 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
         if succ is None:
             transitions.append({i: TransitionPoly.parse("1")})
             continue
-        agg: dict[int, TransitionPoly] = {}
-        for mask, j in enumerate(succ):
-            a = bin(mask).count("1")
-            mono = TransitionPoly(((1, a, 3 - a),))
-            agg[j] = agg.get(j, TransitionPoly.zero()) + mono
-        transitions.append(agg)
+        counts: dict[int, list[int]] = {}
+        for received, j in zip((0, 1, 1, 2, 1, 2, 2, 3), succ):  # receivers per mask
+            counts.setdefault(j, [0, 0, 0, 0])[received] += 1
+        transitions.append({j: _count_poly(tuple(count)) for j, count in counts.items()})
 
-    return FineChain(k=k, tie_break=tie_break, states=tuple(states), choices=tuple(choices),
-                     mask_successors=tuple(mask_successors), transitions=tuple(transitions),
+    return FineChain(k=k, tie_break=tie_break,
+                     states=tuple(tuple(bases[s] for s in state) for state in states),
+                     choices=tuple(choices), mask_successors=tuple(mask_successors),
+                     transitions=tuple(transitions),
                      absorbing_index=position[index[full, full, full]])
 
 

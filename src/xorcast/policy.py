@@ -2,8 +2,9 @@
 
 The access point knows every client's span and, per transmission, picks the
 nonzero codeword that is innovative for the largest number of unsatisfied
-clients. The search is exhaustive over the 2^k - 1 candidates, which doubles
-as the oracle for the combinatorial guarantees in this module.
+clients. Spans are held as 2^k-bit masks, so the codewords that at least c
+spans miss form one mask per level c, built with a few bitwise operations;
+the answer is the best nonempty level, and the tie-break picks a set bit.
 """
 
 from __future__ import annotations
@@ -11,12 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf2 import ClientDecoder, CodingVector
+from .gf2 import ClientDecoder, CodingVector, span_mask
 
 N_CLIENTS = 3
-
-# Exhaustive scans are the intended realization for desk-scale k only.
-MAX_SCAN_DIM = 20
 
 
 class AllClientsSatisfiedError(RuntimeError):
@@ -28,7 +26,7 @@ class RankProfileError(ValueError):
 
 
 class CoverageSearchError(RuntimeError):
-    """Exhaustive scan found no all-client innovative codeword where one must exist."""
+    """Codeword search found no all-client innovative codeword where one must exist."""
 
 
 @dataclass
@@ -59,38 +57,28 @@ class NetworkState:
         return all(c.is_satisfied() for c in self.clients)
 
 
-def _scan_spans(spans: list[frozenset[int]], k: int, tie_break: str,
+def _scan_spans(spans: list[int], k: int, tie_break: str,
                 rng: random.Random | None) -> tuple[int, int]:
     """Pick the nonzero w maximizing the number of spans that miss it.
 
-    spans holds only the unsatisfied clients' spans. Returns (bits, covered).
+    spans holds only the unsatisfied clients' span masks. Returns (bits, covered).
     """
-    if k > MAX_SCAN_DIM:
-        raise ValueError(f"exhaustive scan supports k <= {MAX_SCAN_DIM}, got {k}")
-    best_bits = 0
-    best_cov = -1
-    ties: list[int] = []
-    for w in range(1, 1 << k):
-        cov = sum(1 for sp in spans if w not in sp)
-        if cov > best_cov:
-            best_cov = cov
-            best_bits = w
-            if tie_break == "random":
-                ties = [w]
-            if tie_break == "smallest" and cov == len(spans):
-                break
-        elif cov == best_cov:
-            if tie_break == "largest":
-                best_bits = w
-            elif tie_break == "random":
-                ties.append(w)
-    if tie_break == "random":
-        if rng is None:
-            raise ValueError("random tie-break needs an rng")
-        best_bits = rng.choice(ties)
-    elif tie_break not in ("smallest", "largest"):
+    if tie_break == "random" and rng is None:
+        raise ValueError("random tie-break needs an rng")
+    if tie_break not in ("smallest", "largest", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    return best_bits, best_cov
+    # at_least[c]: mask of the nonzero w that at least c of the spans seen so far miss
+    at_least = [(1 << (1 << k)) - 2] + [0] * len(spans)
+    for seen, span in enumerate(spans, 1):
+        for c in range(seen, 0, -1):
+            at_least[c] |= at_least[c - 1] & ~span
+    covered = max(c for c, ties in enumerate(at_least) if ties)
+    ties = at_least[covered]
+    if tie_break == "smallest":
+        return (ties & -ties).bit_length() - 1, covered
+    if tie_break == "largest":
+        return ties.bit_length() - 1, covered
+    return rng.choice([w for w, bit in enumerate(reversed(bin(ties)[2:])) if bit == "1"]), covered
 
 
 def greedy_codeword(state: NetworkState, tie_break: str = "smallest",
@@ -103,7 +91,7 @@ def greedy_codeword(state: NetworkState, tie_break: str = "smallest",
     how the expected transmission count depends on the tie-break (not at
     k=2; measurably at k=3).
     """
-    spans = [state.clients[i].span() for i in state.unsatisfied()]
+    spans = [span_mask(state.clients[i].basis, state.k) for i in state.unsatisfied()]
     if not spans:
         raise AllClientsSatisfiedError("all clients satisfied")
     bits, covered = _scan_spans(spans, state.k, tie_break, rng)
@@ -137,17 +125,18 @@ def lemma1_construct(state: NetworkState) -> CodingVector:
     Worked instance, k=4: client spans
         span{1000, 0100, 0010}, span{0100, 0010, 0001}, span{1111, 0101}
     (bit order packet 1 first). The constraints exclude exactly the union of
-    the three spans; scanning finds 1001 = p1+p4, innovative for all three.
+    the three spans; the smallest vector outside it is 1001 = p1+p4,
+    innovative for all three.
 
-    This implementation realizes the guarantee by the equivalent exhaustive
-    scan over the 2^k - 1 candidates, which is exact at desk scale.
+    This implementation realizes the guarantee by greedy selection on the
+    span masks: the smallest w outside the union of the three spans.
     """
     profile = tuple(sorted(state.ranks()))
     k = state.k
     if k < 2 or profile != (k - 2, k - 1, k - 1):
         raise RankProfileError(
             f"rank profile {state.ranks()} is not a permutation of (k-1, k-1, k-2) for k={k}")
-    spans = [c.span() for c in state.clients]
+    spans = [span_mask(c.basis, k) for c in state.clients]
     bits, covered = _scan_spans(spans, k, "smallest", None)
     if covered != N_CLIENTS:
         raise CoverageSearchError(
@@ -179,8 +168,7 @@ def lemma1_counterexample(k: int) -> NetworkState:
 
 def distinct_dependent_count(state: NetworkState) -> int:
     """Number of distinct nonzero codewords dependent for some unsatisfied client."""
-    union: set[int] = set()
+    union = 0
     for i in state.unsatisfied():
-        union |= state.clients[i].span()
-    union.discard(0)
-    return len(union)
+        union |= span_mask(state.clients[i].basis, state.k)
+    return max(union.bit_count() - 1, 0)  # the zero vector is no codeword

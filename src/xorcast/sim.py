@@ -19,13 +19,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import markov
-from .gf2 import rref_insert, span_of_rows
-from .policy import MAX_SCAN_DIM, _scan_spans
+from .gf2 import MAX_MASK_DIM, rref_insert, span_mask, subspace_table
+from .policy import _scan_spans
 
 _MASK64 = (1 << 64) - 1
 _MUL1 = 0xBF58476D1CE4E5B9
@@ -77,9 +77,9 @@ class ExperimentConfig:
             raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {self.p}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.policy == "greedy" and self.k > MAX_SCAN_DIM:
-            raise ValueError(f"greedy scans all 2^k - 1 codewords and supports "
-                             f"k <= {MAX_SCAN_DIM}, got {self.k}")
+        if self.policy == "greedy" and self.k > MAX_MASK_DIM:
+            raise ValueError(f"greedy selects codewords on 2^k-bit span masks and "
+                             f"supports k <= {MAX_MASK_DIM}, got {self.k}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.max_tx_per_trial < 1:
@@ -157,37 +157,34 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> int:
     cap = config.max_tx_per_trial
     base = _trial_base(config.master_seed, trial_index)
 
-    if config.policy in ("mds", "bound"):
-        targets = (k, k, k) if config.policy == "mds" else (k, k, k + 1)
-        counts = [0, 0, 0]
-        t = 0
-        while any(c < g for c, g in zip(counts, targets)):
-            if t >= cap:
-                raise TransmissionCapError(trial_index, cap)
-            h = _tx_base(base, t)
-            for c in range(3):
-                if counts[c] < targets[c] and _draw(h, c) < s:
-                    counts[c] += 1
-            t += 1
-        return t
+    # held[c] is what client c holds and done[c] its value at full rank: greedy
+    # and rl keep fully reduced RREF rows, which are canonical, and mds and
+    # bound count receptions. grow(held[c], w) is the state after receiving w.
+    if config.policy in ("greedy", "rl"):
+        held, done = [(), (), ()], [tuple(1 << j for j in range(k))] * 3
 
-    rows: list[tuple[int, ...]] = [(), (), ()]
+        def grow(rows, w):
+            return rref_insert(rows, w) or rows
+    else:
+        held, done = [0, 0, 0], [k, k, k + 1 if config.policy == "bound" else k]
+
+        def grow(received, w):
+            return received + 1
     t = 0
-    while any(len(r) < k for r in rows):
+    while held != done:
         if t >= cap:
             raise TransmissionCapError(trial_index, cap)
         h = _tx_base(base, t)
+        w = None
         if config.policy == "greedy":
-            spans = [span_of_rows(r) for r in rows if len(r) < k]
+            spans = [span_mask(x, k) for x, y in zip(held, done) if x != y]
             w, _ = _scan_spans(spans, k, "smallest", None)
-        else:
+        elif config.policy == "rl":
             u = _draw(h, CHANNEL_POLICY)
             w = _any_vector(u, k) if config.rl_include_zero else _nonzero_vector(u, k)
         for c in range(3):
-            if len(rows[c]) < k and _draw(h, c) < s:
-                inserted = rref_insert(rows[c], w)
-                if inserted is not None:
-                    rows[c] = inserted
+            if held[c] != done[c] and _draw(h, c) < s:
+                held[c] = grow(held[c], w)
         t += 1
     return t
 
@@ -247,8 +244,8 @@ def _counts_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     return _drive(config, lo, hi, need, step)
 
 
-def _table_block(config: ExperimentConfig, table: np.ndarray, absorbing: int,
-                 lo: int, hi: int) -> np.ndarray:
+def _table_block(config: ExperimentConfig, lo: int, hi: int, table: np.ndarray,
+                 absorbing: int) -> np.ndarray:
     """Greedy trials on the joint-state table; state 0 holds no receptions."""
     flat = table.ravel()
 
@@ -265,29 +262,10 @@ def _table_block(config: ExperimentConfig, table: np.ndarray, absorbing: int,
 
 @lru_cache(maxsize=None)
 def _subspace_table(k: int) -> tuple[np.ndarray, int]:
-    """(nxt, full): nxt[span, w] is the span after receiving w, over all subspaces
-    of GF(2)^k, found breadth-first from {0}; full is the index of GF(2)^k.
-
-    Spans are keyed by their fully reduced RREF row tuples, which are canonical.
-    Column 0 (the zero vector) maps every span to itself.
-    """
-    index = {(): 0}
-    order = [()]
-    rows = []
-    for basis in order:  # grows as new spans are found
-        row = []
-        for w in range(1 << k):
-            grown = rref_insert(basis, w)
-            if grown is None:
-                row.append(index[basis])
-                continue
-            if grown not in index:
-                index[grown] = len(order)
-                order.append(grown)
-            row.append(index[grown])
-        rows.append(row)
-    # breadth-first order finds spans by dimension, so GF(2)^k comes last
-    return np.array(rows, dtype=np.intp), len(order) - 1
+    """(nxt, full): gf2.subspace_table(k) as an array, nxt[span, w] the span after
+    receiving w, and the index of GF(2)^k. Column 0 maps every span to itself."""
+    bases, _, nxt = subspace_table(k)
+    return np.array(nxt, dtype=np.intp), len(bases) - 1
 
 
 def _rl_table_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
@@ -376,15 +354,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         block_fn = _rl_table_block if config.k <= _TABLE_DIM_LIMIT else _rl_basis_block
     elif config.k <= _TABLE_DIM_LIMIT:
         chain = markov.build_fine_chain(config.k, "smallest")
-        table = np.array(
-            [row if row is not None else (i,) * 8
-             for i, row in enumerate(chain.mask_successors)],
-            dtype=np.intp,
-        )
-        absorbing = chain.absorbing_index
-
-        def block_fn(cfg, lo, hi):
-            return _table_block(cfg, table, absorbing, lo, hi)
+        table = np.array([row or (i,) * 8 for i, row in enumerate(chain.mask_successors)],
+                         dtype=np.intp)
+        block_fn = partial(_table_block, table=table, absorbing=chain.absorbing_index)
     else:
         block_fn = _scalar_block
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -27,6 +28,19 @@ RATIONAL_P = (Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Frac
 
 # Exact E[t_x] at p = 1/2 from the reverse pass in rational arithmetic.
 EXACT_P05 = {2: Fraction(17620, 3087), 3: Fraction(180313870, 22235661)}
+
+# SHA-256 of repr((states, choices, mask_successors, transitions)) of each fine
+# chain, pinned from a closure over RREF rows with an exhaustive codeword scan.
+FINE_CHAIN_SHA256 = {
+    (1, "smallest"): "c0a8db00245c152ebb54239b06c0ac62fd4cef89bb167623d288d874451d2dd6",
+    (2, "smallest"): "ef79d154b65411b09b095520ca4c7eb17739066e1f64a7144d23af9f96c7fc9e",
+    (3, "smallest"): "fdfda2d760a4b8c8dc92fb95145119bded3a5829291f9f4b241f5a23ddf9794f",
+    (4, "smallest"): "eda46dac17a6d2668082dcc2b6879b0886feb2e33d1e9d801873864960de5c98",
+    (1, "largest"): "c0a8db00245c152ebb54239b06c0ac62fd4cef89bb167623d288d874451d2dd6",
+    (2, "largest"): "ebb87a9be09ff55b627ad1494b59cebd5251da550bef21c50b378e09487ff8a2",
+    (3, "largest"): "259cdd7f3099a303002f77092be44f0b480cc4e3b73f3d3b79eb152695523c36",
+    (4, "largest"): "2b3fefe417a6a79d989f1ca795fbce691c7e44500c435c82f89d3e26d133d2c2",
+}
 
 
 class TestTransitionPoly:
@@ -279,12 +293,25 @@ class TestExactSolver:
                 assert all(j > i for j in row if j != i)
 
 
+@pytest.mark.parametrize("k, tie_break", sorted(FINE_CHAIN_SHA256))
+def test_fine_chain_pinned(k, tie_break):
+    chain = build_fine_chain(k, tie_break)
+    blob = repr((chain.states, chain.choices, chain.mask_successors, chain.transitions))
+    assert hashlib.sha256(blob.encode()).hexdigest() == FINE_CHAIN_SHA256[k, tie_break]
+
+
 def test_k4_oracle_memory_guard():
-    # a dense (I - Q) solve at k=4 (6098 states) alone peaks near 1.2 GB
+    # a dense (I - Q) solve at k=4 (6098 states) alone once peaked near 1.2 GB;
+    # the sparse build and reverse pass stay near 35 MB. Linux carries the
+    # spawning process's peak into the child's ru_maxrss, so the child reports
+    # the peak of its own image (VmHWM) where /proc has it.
     code = ("import resource\n"
             "from xorcast.markov import absorption_time_fine, build_fine_chain\n"
             "print(absorption_time_fine(build_fine_chain(4), 0.5))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "try:\n"
+            "    print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+            "except OSError:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -292,4 +319,4 @@ def test_k4_oracle_memory_guard():
                           text=True, timeout=300, check=True)
     value, max_rss_kib = done.stdout.split()
     assert float(value) == pytest.approx(10.441042, abs=1e-6)
-    assert int(max_rss_kib) / 1024 < 300
+    assert int(max_rss_kib) / 1024 < 100

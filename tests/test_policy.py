@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from xorcast.gf2 import ClientDecoder, span_of_rows
+from xorcast.gf2 import ClientDecoder, span_mask, span_of_rows
 from xorcast.policy import (
     AllClientsSatisfiedError,
     NetworkState,
     RankProfileError,
+    _scan_spans,
     distinct_dependent_count,
     greedy_codeword,
     lemma1_construct,
@@ -15,7 +16,7 @@ from xorcast.policy import (
     sufficient_by_counting,
 )
 
-from conftest import random_state
+from conftest import random_decoder, random_state
 
 
 def state_from_vectors(k, *clients):
@@ -26,6 +27,22 @@ def brute_best_coverage(state):
     """Independent scan: best number of unsatisfied clients a codeword can cover."""
     spans = [state.clients[i].span() for i in state.unsatisfied()]
     return max(sum(1 for sp in spans if w not in sp) for w in range(1, 1 << state.k))
+
+
+def exhaustive_scan(spans, k, tie_break, rng):
+    """Brute-force oracle for _scan_spans: try every nonzero w against frozenset spans."""
+    best_cov, ties = -1, []
+    for w in range(1, 1 << k):
+        cov = sum(1 for sp in spans if w not in sp)
+        if cov > best_cov:
+            best_cov, ties = cov, [w]
+        elif cov == best_cov:
+            ties.append(w)
+    if tie_break == "smallest":
+        return ties[0], best_cov
+    if tie_break == "largest":
+        return ties[-1], best_cov
+    return rng.choice(ties), best_cov
 
 
 def all_subspaces(k):
@@ -124,6 +141,34 @@ class TestGreedyCodeword:
             if st.all_satisfied():
                 continue
             assert greedy_codeword(st)[1] >= 1
+
+
+class TestScanSpans:
+    @pytest.mark.parametrize("tie_break", ["smallest", "largest", "random"])
+    def test_matches_exhaustive_scan(self, rng, tie_break):
+        # ranks run up to k, so full-rank spans (missed by no w) occur too
+        for case in range(1500):
+            k = rng.randrange(1, 9)
+            decoders = [random_decoder(k, rng.randrange(0, k + 1), rng)
+                        for _ in range(rng.randrange(1, 4))]
+            masks = [span_mask(d.basis, k) for d in decoders]
+            sets = [d.span() for d in decoders]
+            got = _scan_spans(masks, k, tie_break, random.Random(case))
+            want = exhaustive_scan(sets, k, tie_break, random.Random(case))
+            assert got == want, (k, [d.basis for d in decoders])
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_full_rank_spans_cover_nothing(self, k):
+        full = (1 << (1 << k)) - 1
+        assert _scan_spans([full], k, "smallest", None) == (1, 0)
+        assert _scan_spans([full, full], k, "largest", None) == ((1 << k) - 1, 0)
+
+    def test_counterexample_family_covers_two(self):
+        # three hyperplanes through one codimension-2 subspace cover GF(2)^k
+        for k in range(2, 9):
+            st = lemma1_counterexample(k)
+            masks = [span_mask(c.basis, k) for c in st.clients]
+            assert _scan_spans(masks, k, "smallest", None)[1] == 2
 
 
 class TestSufficientByCounting:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,23 @@ class TestRunExperiment:
             with pytest.raises(TransmissionCapError) as err:
                 run_experiment(cfg)
             assert err.value.trial_index == expected, cfg
+
+
+class TestScalarGreedyPinned:
+    # SHA-256 of the little-endian int64 tx_counts at p = 0.5, pinned from a
+    # scalar path that scanned all 2^k - 1 codewords against frozenset spans
+    PINNED = {
+        (5, 400, 1): "00ad38c3687a70bdfc5c4e9e782d1c7e01319b9d17af3a6fd8cf40525d15eab3",
+        (8, 150, 2): "b141824e9d0eb80342a10a6e82997d83393208aa02dabf98d85c94bf122e4883",
+        (12, 30, 3): "034b5a51e7446cdbf15840e65c477939dee2777cb586536514a22a8393858967",
+    }
+
+    @pytest.mark.parametrize("k, trials, seed", sorted(PINNED))
+    def test_tx_counts_bit_identical(self, k, trials, seed):
+        cfg = ExperimentConfig(k=k, p=0.5, policy="greedy", trials=trials, master_seed=seed)
+        tx = run_experiment(cfg).tx_counts
+        digest = hashlib.sha256(tx.astype("<i8").tobytes()).hexdigest()
+        assert digest == self.PINNED[k, trials, seed]
 
 
 class TestSubspaceTable:
