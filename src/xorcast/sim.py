@@ -4,8 +4,9 @@ Randomness is a counter-based hash of (master_seed, trial, transmission,
 channel), so any draw is a pure function of its indices: trials can run in
 any order, in parallel, scalar or vectorized, and reproduce bit-identical
 outcomes. Channels 0..2 are the per-client reception draws and channel 3 is
-the policy's own randomness; reception draws never depend on the policy,
-which gives common random numbers for paired policy comparisons.
+the policy's own randomness (rl takes the top k bits of its hash word and
+redraws a zero vector on channels 4, 5, ...); reception draws never depend
+on the policy, which gives common random numbers for paired comparisons.
 
 run_trial is the scalar reference. The vector engines are step functions on
 one trial driver, _drive, which hashes, checks the transmission cap and
@@ -20,6 +21,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import count
 
 import numpy as np
 
@@ -113,9 +115,12 @@ def _tx_base(trial_base: int, tx: int) -> int:
     return _mix64((trial_base + (tx + 1) * _GAMMA_TX) & _MASK64)
 
 
+def _word(tx_base: int, channel: int) -> int:
+    return _mix64((tx_base + (channel + 1) * _GAMMA_CHANNEL) & _MASK64)
+
+
 def _draw(tx_base: int, channel: int) -> float:
-    word = _mix64((tx_base + (channel + 1) * _GAMMA_CHANNEL) & _MASK64)
-    return (word >> 11) * 2.0**-53
+    return (_word(tx_base, channel) >> 11) * 2.0**-53
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -137,17 +142,21 @@ def _tx_base_np(trial_base: np.ndarray, tx: int) -> np.ndarray:
     return _mix64_np(trial_base + np.uint64(((tx + 1) * _GAMMA_TX) & _MASK64))
 
 
+def _word_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
+    return _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
+
+
 def _draw_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
-    word = _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
-    return (word >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (_word_np(tx_base, channel) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _nonzero_vector(u: float, k: int) -> int:
-    return 1 + int(u * ((1 << k) - 1))
-
-
-def _any_vector(u: float, k: int) -> int:
-    return int(u * (1 << k))
+def _rl_vector(tx_base: int, config: ExperimentConfig) -> int:
+    """rl's coding vector: the top k bits of the channel-3 hash word; unless
+    zero is allowed, a zero draw is redrawn on channels 4, 5, ... in turn."""
+    for channel in count(CHANNEL_POLICY):
+        w = _word(tx_base, channel) >> (64 - config.k)
+        if w or config.rl_include_zero:
+            return w
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> int:
@@ -180,8 +189,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> int:
             spans = [span_mask(x, k) for x, y in zip(held, done) if x != y]
             w, _ = _scan_spans(spans, k, "smallest", None)
         elif config.policy == "rl":
-            u = _draw(h, CHANNEL_POLICY)
-            w = _any_vector(u, k) if config.rl_include_zero else _nonzero_vector(u, k)
+            w = _rl_vector(h, config)
         for c in range(3):
             if held[c] != done[c] and _draw(h, c) < s:
                 held[c] = grow(held[c], w)
@@ -190,13 +198,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> int:
 
 
 def _rl_vectors(tx_base: np.ndarray, config: ExperimentConfig, dtype) -> np.ndarray:
-    """Coding vectors of the rl policy, drawn as run_trial draws them."""
-    k = config.k
-    span_size = float((1 << k) if config.rl_include_zero else (1 << k) - 1)
-    w = (_draw_np(tx_base, CHANNEL_POLICY) * span_size).astype(dtype)
-    if not config.rl_include_zero:
-        w += dtype(1)
-    return w
+    """Coding vectors of the rl policy, drawn as _rl_vector draws them."""
+    shift = np.uint64(64 - config.k)
+    w = _word_np(tx_base, CHANNEL_POLICY) >> shift
+    channel, zero = CHANNEL_POLICY, np.flatnonzero(w == 0)
+    while zero.size and not config.rl_include_zero:
+        channel += 1
+        w[zero] = _word_np(tx_base[zero], channel) >> shift
+        zero = zero[w[zero] == 0]
+    return w.astype(dtype, copy=False)
 
 
 def _drive(config: ExperimentConfig, lo: int, hi: int, state: list, step) -> np.ndarray:

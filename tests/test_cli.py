@@ -177,12 +177,12 @@ class TestFigure:
                 assert float(value) >= 1.0
 
     # SHA-256 of the figure CSVs at --seed 1 --k-max 10. A change that alters
-    # the random streams on purpose (such as a fix of rl draws for k >= 54)
-    # must update these pins and say so in CHANGES.md.
+    # the random streams on purpose must update these pins and say so in
+    # CHANGES.md.
     PINNED_CSV_SHA256 = {
-        ("fig1a", 2000): "06d4a4c3bc96e4ad54da825f096afdf2abe602da1f0c8200089651f42eec6001",
-        ("fig1b", 2000): "0825c2e0fef3406dc1f65fd37c2b1a145989382a7368b664f33faa6866979816",
-        ("fig2", 400): "2424074c6a646c5e757c03ed68ae614bec3cd0ee911e98beb72ef11d755d3e1a",
+        ("fig1a", 2000): "310ac6070a9f15179f7e23369b09d6226a21e878cdbb5c63e80bdad520763fdf",
+        ("fig1b", 2000): "632ab2c876f7925332f0480d0af1ef60a69ad7aed6ae3a2aa199b0ab83384dfd",
+        ("fig2", 400): "207d96a059dae9fa6bcefb411aa4305ec944b87c444f73f9da2f61c30a177b02",
     }
 
     def test_csv_bytes_pinned_at_fixed_seed(self, capsys, tmp_path):

@@ -198,6 +198,36 @@ class TestScalarGreedyPinned:
         assert digest == self.PINNED[k, trials, seed]
 
 
+class TestRlDraws:
+    # rl draws the top k bits of a hash word; scaling a 53-bit float by 2^k - 1
+    # fixed the low bits at k >= 54, and k = 56 runs never reached full rank
+    def test_k60_completes_and_matches_scalar(self):
+        cfg = ExperimentConfig(k=60, p=0.3, policy="rl", trials=40, master_seed=8,
+                               max_tx_per_trial=1000)
+        res = run_experiment(cfg)
+        assert np.array_equal(res.tx_counts, [run_trial(cfg, i) for i in range(cfg.trials)])
+        assert res.tx_counts.min() >= 60
+
+    @pytest.mark.parametrize("include_zero", [False, True])
+    def test_k60_low_bits_uniform(self, include_zero):
+        cfg = ExperimentConfig(k=60, p=0.5, policy="rl", trials=1, master_seed=1,
+                               rl_include_zero=include_zero)
+        h = sim._tx_base_np(sim._trial_base_np(1, np.arange(8000, dtype=np.uint64)), 0)
+        w = sim._rl_vectors(h, cfg, np.uint64)
+        assert [sim._rl_vector(int(x), cfg) for x in h[:500]] == w[:500].tolist()
+        # 1000 expected per pattern; 150 is five binomial standard deviations
+        counts = np.bincount((w & np.uint64(7)).astype(np.intp), minlength=8)
+        assert np.all(np.abs(counts - 1000) < 150), counts
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_zero_redrawn_at_small_k(self, k):
+        cfg = ExperimentConfig(k=k, p=0.5, policy="rl", trials=1, master_seed=1)
+        h = sim._tx_base_np(sim._trial_base_np(1, np.arange(4000, dtype=np.uint64)), 0)
+        w = sim._rl_vectors(h, cfg, np.intp)
+        assert w.min() >= 1 and w.max() < 1 << k
+        assert [sim._rl_vector(int(x), cfg) for x in h] == w.tolist()
+
+
 class TestSubspaceTable:
     @pytest.mark.parametrize("k, subspaces", [(1, 2), (2, 5), (3, 16), (4, 67)])
     def test_counts_and_absorption(self, k, subspaces):
