@@ -39,7 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_k(k: int, upper: int = 63) -> int:
     if not 2 <= k <= upper:
-        raise UsageError(f"k must be in [2, {upper}], got {k} (single-packet runs are trivial)")
+        why = " (single-packet runs are trivial)" if k < 2 else ""
+        raise UsageError(f"k must be in [2, {upper}], got {k}{why}")
     return k
 
 

@@ -12,7 +12,7 @@ run_trial is the scalar reference. The vector engines are step functions on
 one trial driver, _drive, which hashes, checks the transmission cap and
 compacts finished trials for all of them: counts for mds and bound, the
 joint-state table for greedy (k <= 4), a subspace table for rl (k <= 4) and
-fully reduced per-client bases for rl above that.
+one stacked array of the three clients' fully reduced bases for rl above that.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ _GAMMA_CHANNEL = 0x165667B19E3779F9
 POLICIES = ("greedy", "rl", "mds", "bound")
 
 _BLOCK = 1 << 15
-# rl bases take at most this many trials of one client at a time, so the gathered
-# rows and their temporaries stay near 1 MB each (k = 32) instead of growing with
-# the block
+# rl bases update at most this many (trial, client) pairs at a time, and _drive
+# compacts 2-D state this many trials at a time, so the gathered rows and their
+# temporaries stay near 0.5 MB each (k = 32) instead of growing with the block
 _PICK_ROWS = 1 << 12
 
 CHANNEL_POLICY = 3
@@ -216,7 +216,8 @@ def _drive(config: ExperimentConfig, lo: int, hi: int, state: list, step) -> np.
     step(h, recv, state) advances every unfinished trial in place, given the
     transmission hashes h and the three per-client reception masks recv, and
     returns the mask of trials that are now done. Done trials are compacted
-    out of every array, so steps see only unfinished trials, in trial order.
+    out of every array (1-D ones into a fresh copy, wider ones in place), so
+    steps see only unfinished trials, in trial order.
     """
     base = _trial_base_np(config.master_seed, np.arange(lo, hi, dtype=np.uint64))
     idx = np.arange(hi - lo)
@@ -235,7 +236,13 @@ def _drive(config: ExperimentConfig, lo: int, hi: int, state: list, step) -> np.
             keep = ~done
             idx, base = idx[keep], base[keep]
             for i, array in enumerate(state):  # one at a time, to bound peak memory
-                state[i] = array[keep]
+                if array.ndim == 1:
+                    state[i] = array[keep]
+                else:  # in place: kept[j] >= j, so no row is overwritten before it is read
+                    kept = np.flatnonzero(keep)
+                    state[i] = array[:kept.size]
+                    for at in range(0, kept.size, _PICK_ROWS):
+                        state[i][at:at + _PICK_ROWS] = array[kept[at:at + _PICK_ROWS]]
     return tx_out
 
 
@@ -299,44 +306,45 @@ def _rl_table_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     """rl trials for k > _TABLE_DIM_LIMIT on fully reduced per-client bases.
 
-    basis[c][i, j] is client c's row whose pivot (lowest set bit) is bit j, or 0.
-    Every row is zero at the other rows' pivots, so w reduces to w xor the rows
-    that its own bits select, in one pass.
+    basis[i, c, j] is trial i's client c row whose pivot (lowest set bit) is bit
+    j, or 0, in the narrowest unsigned dtype that holds k bits. Every row is
+    zero at the other rows' pivots, so w reduces to w xor the rows that its own
+    bits select, in one pass. One update serves every (trial, client) pair that
+    received w and lacks full rank, whichever the client.
     """
     k = config.k
-    n = hi - lo
-    one = np.uint64(1)
+    dtype = np.min_scalar_type((1 << k) - 1)
+    one = dtype.type(1)
 
     def step(h, recv, state):
-        basis, rank = state[:3], state[3:]
-        w = _rl_vectors(h, config, np.uint64)
+        basis, rank = state[0].reshape(-1, k), state[1].reshape(-1)
+        w = _rl_vectors(h, config, dtype)
         # bits[i, j] = bit j of w[i]
         bits = np.unpackbits(w.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
                              count=k, bitorder="little")
-        for c in range(3):
-            pick = np.flatnonzero(recv[c] & (rank[c] < k))
-            for at in range(0, pick.size, _PICK_ROWS):
-                part = pick[at:at + _PICK_ROWS]
-                rows = basis[c][part]
-                terms = np.multiply(rows, bits[part], dtype=np.uint64)
-                reduced = np.bitwise_xor.reduce(terms, axis=1)
-                reduced ^= w[part]
-                # the new pivot bit, 0 where w was already in the span
-                low = reduced & (~reduced + one)
-                # clear it from the client's other rows: hit = reduced where a row has it
-                hit = np.bitwise_and(rows, low[:, None], out=terms)
-                np.minimum(hit, one, out=hit)
-                hit *= reduced[:, None]
-                rows ^= hit
-                new = np.flatnonzero(low)
-                pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
-                rows[new, pivot] = reduced[new]
-                basis[c][part] = rows
-                rank[c][part[new]] += 1
-        return (rank[0] == k) & (rank[1] == k) & (rank[2] == k)
+        pick = np.flatnonzero(np.stack(recv, axis=1) & (state[1] < k))
+        for at in range(0, pick.size, _PICK_ROWS):
+            part = pick[at:at + _PICK_ROWS]
+            trial = part // 3  # pick holds flat (trial, client) pair indices
+            rows = basis[part]
+            terms = np.multiply(rows, bits[trial], dtype=dtype)
+            reduced = np.bitwise_xor.reduce(terms, axis=1)
+            reduced ^= w[trial]
+            # the new pivot bit, 0 where w was already in the span
+            low = reduced & (~reduced + one)
+            # clear it from the client's other rows: hit = reduced where a row has it
+            hit = np.bitwise_and(rows, low[:, None], out=terms)
+            np.minimum(hit, one, out=hit)
+            hit *= reduced[:, None]
+            rows ^= hit
+            new = np.flatnonzero(low)
+            pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
+            rows[new, pivot] = reduced[new]
+            basis[part] = rows
+            rank[part[new]] += 1
+        return (state[1] == k).all(axis=1)
 
-    state = ([np.zeros((n, k), dtype=np.uint64) for _ in range(3)]
-             + [np.zeros(n, dtype=np.int64) for _ in range(3)])
+    state = [np.zeros((hi - lo, 3, k), dtype=dtype), np.zeros((hi - lo, 3), dtype=np.int64)]
     return _drive(config, lo, hi, state, step)
 
 

@@ -76,7 +76,15 @@ class TestBound:
         assert data["e_ell"] - data["mds"] <= 1.0
 
     def test_k1_rejected(self, capsys):
-        assert run_cli(capsys, "bound", "--k", "1", "--p", "0.2")[0] == 1
+        code, _, err = run_cli(capsys, "bound", "--k", "1", "--p", "0.2")
+        assert code == 1
+        assert "got 1 (single-packet runs are trivial)" in err
+
+    def test_k64_rejected_without_the_single_packet_note(self, capsys):
+        code, _, err = run_cli(capsys, "bound", "--k", "64", "--p", "0.2")
+        assert code == 1
+        assert "k must be in [2, 63], got 64" in err
+        assert "single-packet" not in err
 
     def test_series_term_limit_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--k", "2", "--p", "0.999999")

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +129,8 @@ class TestRunExperiment:
         for policy in ("greedy", "rl", "mds", "bound")
     ] + [
         pytest.param("rl", k, p, zero, id=f"rl-k{k}-p{p}-{'zero' if zero else 'nonzero'}")
-        for k in (2, 4, 5, 8, 32) for p in (0.0, 0.4, 0.8) for zero in (False, True)
+        for k in (2, 4, 5, 8, 9, 16, 17, 32, 33, 63) for p in (0.0, 0.4, 0.8)
+        for zero in (False, True)
     ])
     def test_vectorized_matches_scalar(self, policy, k, p, include_zero):
         trials = 300 if k <= 8 else 100
@@ -196,6 +201,64 @@ class TestScalarGreedyPinned:
         tx = run_experiment(cfg).tx_counts
         digest = hashlib.sha256(tx.astype("<i8").tobytes()).hexdigest()
         assert digest == self.PINNED[k, trials, seed]
+
+
+class TestRlBasisPinned:
+    # SHA-256 of the little-endian int64 tx_counts of rl at p = 0.4, seed k, on
+    # both sides of each row dtype boundary (8/9, 16/17, 32/33 bits), pinned
+    # from bases kept as three uint64 arrays; None trials is _BLOCK + 5000, so
+    # the run spans two blocks
+    PINNED = {
+        (5, 2000, False): "74d99fceeffe1a3b40a8f9c0fe4b22d4fecad5c69083fdd0076db14a68cc08e8",
+        (5, 2000, True): "1466e865fe2a36ccf36d710f33d765c2f3af832587ac175be45bbeccd9faf547",
+        (8, 2000, False): "df0f218e49973322bd4a711671976543f9bf536f1adb6cfedd7dcfe2643b82c9",
+        (8, 2000, True): "02ca267fbb2252bc3203b12d75519fc06e647b86bf9b576c4848dc6a4d9d40fb",
+        (9, None, False): "280a1ff2b8c0ea3e9a51f57d12356049247be106ed490f2cadceae4c1e30f8cd",
+        (9, None, True): "ceaf76fc949e0da7595c48821b9ab0176e75f5f2cd7f3943ca8985101d1c360d",
+        (16, 1000, False): "b36e35b7c8257faa22fa08b5fc7320631770b7f0137e86fee38019145a2556ea",
+        (16, 1000, True): "f39a409d4cb816e9c8ca0b2465aeb841e3e96e4400f0cc27723c6d97fe2c8460",
+        (17, None, False): "37d5bfe22000fdbeb8e6298c7fb375948c46076eb4e199dad09014bf8e43876f",
+        (17, 1000, True): "4ce1ab37ddb6b6fae2fab7fefe1b54c2d5a65eb810db4253e23358a1c510a42f",
+        (32, 1000, False): "c533ecc9532782a5e4e95c9872df53270b49938fd6e3afd969bca64e094efa12",
+        (32, 1000, True): "c533ecc9532782a5e4e95c9872df53270b49938fd6e3afd969bca64e094efa12",
+        (33, 600, False): "77e694e036891e6509b269e176539a1f2dd42046d1dab90ca454d28f1891dc3d",
+        (33, 600, True): "77e694e036891e6509b269e176539a1f2dd42046d1dab90ca454d28f1891dc3d",
+        (63, 300, False): "ad1a40934856f9ecfded69a9fdac0f57673fdccb68793476c6f19056293bbb36",
+        (63, 300, True): "ad1a40934856f9ecfded69a9fdac0f57673fdccb68793476c6f19056293bbb36",
+    }
+
+    @pytest.mark.parametrize("k, trials, include_zero", list(PINNED))
+    def test_tx_counts_bit_identical(self, k, trials, include_zero):
+        cfg = ExperimentConfig(k=k, p=0.4, policy="rl", trials=trials or sim._BLOCK + 5000,
+                               master_seed=k, rl_include_zero=include_zero)
+        tx = run_experiment(cfg).tx_counts
+        digest = hashlib.sha256(tx.astype("<i8").tobytes()).hexdigest()
+        assert digest == self.PINNED[k, trials, include_zero]
+
+    def test_multi_block_memory_guard(self):
+        # three uint64 basis arrays compacted into fresh copies peaked near
+        # 72 MB here, against 59.6 MB before the compacting driver; the stacked
+        # uint32 array, compacted in place, stays near 48 MB. The child reads
+        # its own VmHWM: Linux carries the spawning process's peak into a
+        # child's ru_maxrss.
+        code = ("import resource\n"
+                "from xorcast import sim\n"
+                "cfg = sim.ExperimentConfig(k=32, p=0.5, policy='rl',\n"
+                "                           trials=sim._BLOCK + 5000, master_seed=1)\n"
+                "print(sim.run_experiment(cfg).mean_tx)\n"
+                "try:\n"
+                "    print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+                "except OSError:\n"
+                "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop("XORCAST_THREADS", None)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        mean_tx, max_rss_kib = done.stdout.split()
+        assert float(mean_tx) > 64
+        assert int(max_rss_kib) / 1024 < 60
 
 
 class TestRlDraws:
