@@ -39,9 +39,9 @@ _GAMMA_CHANNEL = 0x165667B19E3779F9
 POLICIES = ("greedy", "rl", "mds", "bound")
 
 _BLOCK = 1 << 15
-# rl bases update at most this many (trial, client) pairs at a time, and _drive
-# compacts 2-D state this many trials at a time, so the gathered rows and their
-# temporaries stay near 0.5 MB each (k = 32) instead of growing with the block
+# rl bases update at most this many (trial, client) pairs at a time and _drive
+# compacts 2-D state this many trials at a time, so gathered rows stay near 0.5
+# and 1.5 MB (k = 32) instead of growing with the block
 _PICK_ROWS = 1 << 12
 
 CHANNEL_POLICY = 3

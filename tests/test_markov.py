@@ -1,9 +1,5 @@
 import hashlib
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -19,6 +15,8 @@ from xorcast.markov import (
     format_chain,
     row_sum_coeffs,
 )
+
+from conftest import run_measuring_peak
 
 # Absorption time of the joint-state chain at k=2, p=0.5, computed once from
 # the breadth-first closure and frozen here as the oracle value.
@@ -302,21 +300,9 @@ def test_fine_chain_pinned(k, tie_break):
 
 def test_k4_oracle_memory_guard():
     # a dense (I - Q) solve at k=4 (6098 states) alone once peaked near 1.2 GB;
-    # the sparse build and reverse pass stay near 35 MB. Linux carries the
-    # spawning process's peak into the child's ru_maxrss, so the child reports
-    # the peak of its own image (VmHWM) where /proc has it.
-    code = ("import resource\n"
-            "from xorcast.markov import absorption_time_fine, build_fine_chain\n"
-            "print(absorption_time_fine(build_fine_chain(4), 0.5))\n"
-            "try:\n"
-            "    print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
-            "except OSError:\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    value, max_rss_kib = done.stdout.split()
+    # the sparse build and reverse pass stay near 35 MB
+    (value,), peak_mb = run_measuring_peak(
+        "from xorcast.markov import absorption_time_fine, build_fine_chain\n"
+        "print(absorption_time_fine(build_fine_chain(4), 0.5))")
     assert float(value) == pytest.approx(10.441042, abs=1e-6)
-    assert int(max_rss_kib) / 1024 < 100
+    assert peak_mb < 100

@@ -1,14 +1,12 @@
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xorcast import bounds, markov, sim
 from xorcast.sim import ExperimentConfig, TransmissionCapError, run_experiment, run_trial
+
+from conftest import run_measuring_peak
 
 
 class TestConfigValidation:
@@ -238,27 +236,13 @@ class TestRlBasisPinned:
     def test_multi_block_memory_guard(self):
         # three uint64 basis arrays compacted into fresh copies peaked near
         # 72 MB here, against 59.6 MB before the compacting driver; the stacked
-        # uint32 array, compacted in place, stays near 48 MB. The child reads
-        # its own VmHWM: Linux carries the spawning process's peak into a
-        # child's ru_maxrss.
-        code = ("import resource\n"
-                "from xorcast import sim\n"
-                "cfg = sim.ExperimentConfig(k=32, p=0.5, policy='rl',\n"
-                "                           trials=sim._BLOCK + 5000, master_seed=1)\n"
-                "print(sim.run_experiment(cfg).mean_tx)\n"
-                "try:\n"
-                "    print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
-                "except OSError:\n"
-                "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop("XORCAST_THREADS", None)
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=300, check=True)
-        mean_tx, max_rss_kib = done.stdout.split()
+        # uint32 array, compacted in place, stays near 48 MB
+        (mean_tx,), peak_mb = run_measuring_peak(
+            "from xorcast import sim\n"
+            "print(sim.run_experiment(sim.ExperimentConfig(\n"
+            "    k=32, p=0.5, policy='rl', trials=sim._BLOCK + 5000, master_seed=1)).mean_tx)")
         assert float(mean_tx) > 64
-        assert int(max_rss_kib) / 1024 < 60
+        assert peak_mb < 60
 
 
 class TestRlDraws:
