@@ -1,5 +1,8 @@
 """Command-line front end: exact values, bounds, simulations, figure CSVs.
 
+A thin layer over the library: FIGURES states each figure once, and _report
+is the one writer of the exact, bound and simulate output.
+
 Exit codes: 0 success, 1 usage error, 2 runtime/cap error, 3 internal
 invariant violation.
 """
@@ -9,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import bounds, markov, sim
@@ -19,8 +21,6 @@ DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
 DEFAULT_FIG2_KMAX = 32
 DEFAULT_P_GRID = tuple(round(0.05 * i, 2) for i in range(19))  # 0.00 .. 0.90
-
-FIGURES = ("fig1a", "fig1b", "fig1c", "fig2")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,27 +61,30 @@ def _parse_p_grid(text: str) -> list[float]:
     return grid
 
 
+def _report(args, out, payload: dict, header: str, lines: dict) -> int:
+    """One JSON line of payload under --json, else header and label=value lines."""
+    if args.json:
+        out.write(json.dumps(payload) + "\n")
+    else:
+        out.write(header + "\n")
+        for label, value in lines.items():
+            text = value if isinstance(value, str) else f"{value:.6f}"  # floats as %.6f
+            out.write(f"{label}={text}\n")
+    return EXIT_OK
+
+
 def cmd_exact(args, out) -> int:
     k = _check_k(args.k, upper=3)
     p = _check_p(args.p)
-    chain = markov.build_chain(k)
-    e_tx = markov.expected_absorption_time(chain, p)
+    e_tx = markov.expected_absorption_time(markov.build_chain(k), p)
     rt = bounds.retransmission_ratio(e_tx, k)
     payload = {"command": "exact", "k": k, "p": p, "e_tx": e_tx, "rt": rt}
+    lines = {"E[t_x]": e_tx, "R_t": rt}
     if args.oracle:
         fine = markov.absorption_time_fine(markov.build_fine_chain(k), p)
-        payload["fine"] = fine
-        payload["diff"] = abs(e_tx - fine)
-    if args.json:
-        out.write(json.dumps(payload) + "\n")
-        return EXIT_OK
-    out.write(f"k={k} p={p:g}\n")
-    out.write(f"E[t_x]={e_tx:.6f}\n")
-    out.write(f"R_t={rt:.6f}\n")
-    if args.oracle:
-        out.write(f"fine={payload['fine']:.6f}\n")
-        out.write(f"diff={payload['diff']:.6e}\n")
-    return EXIT_OK
+        payload["fine"], payload["diff"] = fine, abs(e_tx - fine)
+        lines.update(fine=fine, diff=f"{payload['diff']:.6e}")
+    return _report(args, out, payload, f"k={k} p={p:g}", lines)
 
 
 def cmd_bound(args, out) -> int:
@@ -96,17 +99,9 @@ def cmd_bound(args, out) -> int:
     payload = {"command": "bound", "k": k, "p": p, "e_ell": ell, "e_delta": delta,
                "mds": mds, "rt_ell": rt_ell, "rt_mds": rt_mds,
                "rt_gap": rt_ell - rt_mds}
-    if args.json:
-        out.write(json.dumps(payload) + "\n")
-        return EXIT_OK
-    out.write(f"k={k} p={p:g}\n")
-    out.write(f"E[l]={ell:.6f}\n")
-    out.write(f"E[delta]={delta:.6f}\n")
-    out.write(f"MDS={mds:.6f}\n")
-    out.write(f"R_t upper={rt_ell:.6f}\n")
-    out.write(f"R_t mds={rt_mds:.6f}\n")
-    out.write(f"R_t gap={rt_ell - rt_mds:.6f}\n")
-    return EXIT_OK
+    return _report(args, out, payload, f"k={k} p={p:g}", {
+        "E[l]": ell, "E[delta]": delta, "MDS": mds, "R_t upper": rt_ell,
+        "R_t mds": rt_mds, "R_t gap": payload["rt_gap"]})
 
 
 def cmd_simulate(args, out) -> int:
@@ -126,21 +121,22 @@ def cmd_simulate(args, out) -> int:
     payload = {"command": "simulate", "policy": args.policy, "k": k, "p": p,
                "trials": args.trials, "seed": args.seed,
                "mean": result.mean_tx, "stderr": result.stderr, "rt": result.rt}
-    if args.json:
-        out.write(json.dumps(payload) + "\n")
-        return EXIT_OK
-    out.write(f"policy={args.policy} k={k} p={p:g} trials={args.trials} seed={args.seed}\n")
-    out.write(f"mean={result.mean_tx:.6f}\n")
-    out.write(f"stderr={result.stderr:.6f}\n")
-    out.write(f"R_t={result.rt:.6f}\n")
-    return EXIT_OK
+    header = f"policy={args.policy} k={k} p={p:g} trials={args.trials} seed={args.seed}"
+    return _report(args, out, payload, header,
+                   {"mean": result.mean_tx, "stderr": result.stderr, "R_t": result.rt})
 
 
-FIGURE_SERIES = {
-    "fig1a": ("exact_xor", "mds", "rl_sim", "rl_sim_stderr"),
-    "fig1b": ("exact_xor", "mds", "rl_sim", "rl_sim_stderr"),
-    "fig1c": ("exact_minus_mds_rt",),
-    "fig2": ("bound_ell", "mds", "rl_sim", "rl_sim_stderr"),
+# figure id -> (curves, points(p_grid, k_max)): each point's metrics in row
+# order, and the (k, p) points; a curve is computed in _point_rows
+FIGURES = {
+    "fig1a": (("exact_xor", "mds", "rl_sim", "rl_sim_stderr"),
+              lambda grid, k_max: [(2, p) for p in grid]),
+    "fig1b": (("exact_xor", "mds", "rl_sim", "rl_sim_stderr"),
+              lambda grid, k_max: [(3, p) for p in grid]),
+    "fig1c": (("exact_minus_mds_rt",),
+              lambda grid, k_max: [(k, p) for k in (2, 3) for p in grid]),
+    "fig2": (("bound_ell", "mds", "rl_sim", "rl_sim_stderr"),
+             lambda grid, k_max: [(k, p) for p in (0.25, 0.5) for k in range(2, k_max + 1)]),
 }
 
 
@@ -154,7 +150,7 @@ class FigureSpec:
 
     def __post_init__(self):
         if self.figure_id not in FIGURES:
-            raise UsageError(f"figure must be one of {FIGURES}, got {self.figure_id!r}")
+            raise UsageError(f"figure must be one of {tuple(FIGURES)}, got {self.figure_id!r}")
         for p in self.p_grid:
             _check_p(p)
         if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
@@ -163,13 +159,7 @@ class FigureSpec:
     @classmethod
     def build(cls, figure_id: str, p_grid=None) -> "FigureSpec":
         grid = tuple(p_grid) if p_grid is not None else DEFAULT_P_GRID
-        return cls(figure_id, grid, FIGURE_SERIES.get(figure_id, ()))
-
-
-def _rl_point(k: int, p: float, trials: int, seed: int) -> tuple[float, float]:
-    config = sim.ExperimentConfig(k=k, p=p, policy="rl", trials=trials, master_seed=seed)
-    result = sim.run_experiment(config)
-    return result.rt, result.stderr / k
+        return cls(figure_id, grid, FIGURES[figure_id][0] if figure_id in FIGURES else ())
 
 
 def _point_rows(spec: FigureSpec, k: int, p: float, trials: int,
@@ -182,7 +172,9 @@ def _point_rows(spec: FigureSpec, k: int, p: float, trials: int,
     if "bound_ell" in spec.series:
         values["bound_ell"] = bounds.expected_ell(bounds.BoundQuery(k=k, p=p)) / k
     if "rl_sim" in spec.series:
-        values["rl_sim"], values["rl_sim_stderr"] = _rl_point(k, p, trials, seed)
+        config = sim.ExperimentConfig(k=k, p=p, policy="rl", trials=trials, master_seed=seed)
+        result = sim.run_experiment(config)
+        values["rl_sim"], values["rl_sim_stderr"] = result.rt, result.stderr / k
     if "exact_minus_mds_rt" in spec.series:
         values["exact_minus_mds_rt"] = values["exact_xor"] - values["mds"]
     return [(spec.figure_id, k, p, metric, values[metric]) for metric in spec.series]
@@ -192,30 +184,12 @@ def figure_rows(spec: FigureSpec, trials: int, seed: int,
                 k_max: int) -> list[tuple[str, int, float, str, float]]:
     """Rows (figure, k, p, metric, value); all transmission metrics in R_t units.
 
-    Points are independent and may be computed in parallel; the final ordering
-    is fixed by sorting, so the output does not depend on the dispatch.
+    Points come from FIGURES and run on sim.parallel_map's threads, with each
+    point's simulation serial inside them; sorting fixes the row order.
     """
-    if spec.figure_id == "fig1a":
-        points = [(2, p) for p in spec.p_grid]
-    elif spec.figure_id == "fig1b":
-        points = [(3, p) for p in spec.p_grid]
-    elif spec.figure_id == "fig1c":
-        points = [(k, p) for k in (2, 3) for p in spec.p_grid]
-    else:
-        points = [(k, p) for p in (0.25, 0.5) for k in range(2, k_max + 1)]
-
-    threads = min(sim._thread_count(), len(points))
-    if threads > 1:
-        # build the chains up front; the cache is then read-only across threads
-        for k in {k for k, _ in points if k <= 3}:
-            markov.build_chain(k)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda kp: _point_rows(spec, *kp, trials, seed), points)
-            rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = [row for kp in points for row in _point_rows(spec, *kp, trials, seed)]
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    return rows
+    points = FIGURES[spec.figure_id][1](spec.p_grid, k_max)
+    chunks = sim.parallel_map(lambda kp: _point_rows(spec, *kp, trials, seed), points)
+    return sorted(row for chunk in chunks for row in chunk)
 
 
 def cmd_figure(args, out) -> int:
@@ -232,9 +206,8 @@ def cmd_figure(args, out) -> int:
             for f, k, p, m, v in rows
         ]) + "\n"
     else:
-        lines = ["figure,k,p,metric,value"]
-        lines += [f"{f},{k},{p:g},{m},{v:.6f}" for f, k, p, m, v in rows]
-        text = "\n".join(lines) + "\n"
+        text = "figure,k,p,metric,value\n" + "".join(
+            f"{f},{k},{p:g},{m},{v:.6f}\n" for f, k, p, m, v in rows)
 
     if args.out:
         try:
@@ -258,13 +231,11 @@ def build_parser() -> _Parser:
     p_exact.add_argument("--p", type=float, required=True)
     p_exact.add_argument("--oracle", action="store_true",
                          help="also solve the joint-state chain and print the difference")
-    p_exact.add_argument("--json", action="store_true")
     p_exact.set_defaults(func=cmd_exact)
 
     p_bound = sub.add_parser("bound", help="closed-form upper bound and MDS baseline")
     p_bound.add_argument("--k", type=int, required=True)
     p_bound.add_argument("--p", type=float, required=True)
-    p_bound.add_argument("--json", action="store_true")
     p_bound.set_defaults(func=cmd_bound)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate under a policy")
@@ -277,7 +248,6 @@ def build_parser() -> _Parser:
                        help="per-trial transmission cap")
     p_sim.add_argument("--include-zero", action="store_true",
                        help="let the random-linear policy draw the zero vector")
-    p_sim.add_argument("--json", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fig = sub.add_parser("figure", help="CSV data behind the summary figures")
@@ -289,9 +259,10 @@ def build_parser() -> _Parser:
                        help="comma-separated loss probabilities (default 0.00..0.90 step 0.05)")
     p_fig.add_argument("--k-max", type=int, default=DEFAULT_FIG2_KMAX,
                        help="largest packet count for the batch-size sweep")
-    p_fig.add_argument("--json", action="store_true")
     p_fig.set_defaults(func=cmd_figure)
 
+    for command in sub.choices.values():  # the last option of every command
+        command.add_argument("--json", action="store_true")
     return parser
 
 

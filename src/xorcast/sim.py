@@ -18,6 +18,7 @@ one stacked array of the three clients' fully reduced bases for rl above that.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -364,6 +365,21 @@ def _thread_count() -> int:
     return threads
 
 
+_pool_thread = threading.local()  # .nested is True on parallel_map's worker threads
+
+
+def parallel_map(fn, items: list) -> list:
+    """[fn(x) for x in items] on up to _thread_count() threads; a worker's exception
+    reaches the caller. A call from one of its own workers runs serially: the outer
+    call already keeps every thread busy, and a nested pool would only oversubscribe."""
+    threads = min(_thread_count(), len(items))
+    if threads < 2 or getattr(_pool_thread, "nested", False):
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(threads, initializer=setattr,
+                            initargs=(_pool_thread, "nested", True)) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials; bit-identical for a given config regardless of threading."""
     if config.policy in ("mds", "bound"):
@@ -380,14 +396,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     spans = [(lo, min(lo + _BLOCK, config.trials))
              for lo in range(0, config.trials, _BLOCK)]
-    threads = _thread_count()
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(lambda ab: block_fn(config, *ab), spans))
-    else:
-        blocks = [block_fn(config, lo, hi) for lo, hi in spans]
-
-    tx = np.concatenate(blocks)
+    tx = np.concatenate(parallel_map(lambda ab: block_fn(config, *ab), spans))
     mean = float(tx.mean())
     stderr = float(tx.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
     values, counts = np.unique(tx, return_counts=True)

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import threading
 
 import pytest
 
-from xorcast import bounds, cli, markov
+from xorcast import bounds, cli, markov, sim
 
 
 def run_cli(capsys, *argv):
@@ -192,13 +193,19 @@ class TestFigure:
         ("fig1b", 2000): "632ab2c876f7925332f0480d0af1ef60a69ad7aed6ae3a2aa199b0ab83384dfd",
         ("fig2", 400): "207d96a059dae9fa6bcefb411aa4305ec944b87c444f73f9da2f61c30a177b02",
     }
+    # the same for the JSON writer; a key's third element is the extra flag
+    PINNED_JSON_SHA256 = {
+        ("fig1c", 2000, "--json"):
+            "213472f72e603c7bc338d07248e3d1c1fdeb61d2ae5789a83d2e891c83bc535f",
+    }
 
     def test_csv_bytes_pinned_at_fixed_seed(self, capsys, tmp_path):
-        for (which, trials), want in self.PINNED_CSV_SHA256.items():
-            path = tmp_path / f"{which}.csv"
+        pins = {**self.PINNED_CSV_SHA256, **self.PINNED_JSON_SHA256}
+        for (which, trials, *flags), want in pins.items():
+            path = tmp_path / f"{which}.out"
             assert cli.main(["figure", "--which", which, "--k-max", "10", "--trials",
-                             str(trials), "--seed", "1", "--out", str(path)]) == 0
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == want, which
+                             str(trials), "--seed", "1", "--out", str(path), *flags]) == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want, (which, flags)
         capsys.readouterr()
 
     def test_fig2_matches_bound_command(self, capsys):
@@ -264,10 +271,92 @@ class TestFigureSpec:
             cli.FigureSpec.build("fig1a", [0.5, 1.0])
 
     def test_parallel_dispatch_matches_serial(self, monkeypatch):
-        spec = cli.FigureSpec.build("fig1c", [0.1, 0.4])
-        serial = cli.figure_rows(spec, 100, 11, 4)
-        monkeypatch.setenv("XORCAST_THREADS", "6")
-        assert cli.figure_rows(spec, 100, 11, 4) == serial
+        # fig1a points each run a two-block rl simulation inside the point pool
+        trials = sim._BLOCK + 1
+        for which in ("fig1c", "fig1a"):
+            spec = cli.FigureSpec.build(which, [0.1, 0.4])
+            monkeypatch.delenv("XORCAST_THREADS", raising=False)
+            serial = cli.figure_rows(spec, trials, 11, 4)
+            # cold caches: the threads build the chains and tables concurrently
+            markov.build_chain.cache_clear()
+            sim._subspace_table.cache_clear()
+            monkeypatch.setenv("XORCAST_THREADS", "6")
+            assert cli.figure_rows(spec, trials, 11, 4) == serial, which
+
+    def test_point_blocks_run_on_one_thread(self, monkeypatch):
+        # figure points take the threads; a point's simulation blocks do not
+        # open a second pool inside them
+        seen = []
+        block = sim._rl_table_block
+
+        def traced(config, lo, hi):
+            seen.append((config.p, threading.get_ident()))
+            return block(config, lo, hi)
+
+        monkeypatch.setattr(sim, "_rl_table_block", traced)
+        monkeypatch.setenv("XORCAST_THREADS", "2")
+        spec = cli.FigureSpec.build("fig1a", [0.1, 0.5])
+        cli.figure_rows(spec, sim._BLOCK + 1, 3, 4)
+        for p in (0.1, 0.5):
+            threads = [ident for q, ident in seen if q == p]
+            assert len(threads) == 2 and len(set(threads)) == 1, (p, threads)
+
+
+# Whole stdout of each report command, byte for byte. The text and JSON
+# layouts are part of the interface; a change to either must update these.
+PINNED_STDOUT = {
+    "exact --k 3 --p 0.5": (
+        "k=3 p=0.5\n"
+        "E[t_x]=8.109220\n"
+        "R_t=2.703073\n"),
+    "exact --k 2 --p 0.5 --oracle": (
+        "k=2 p=0.5\n"
+        "E[t_x]=5.707807\n"
+        "R_t=2.853903\n"
+        "fine=5.707807\n"
+        "diff=0.000000e+00\n"),
+    "exact --k 2 --p 0.25 --json": (
+        '{"command": "exact", "k": 2, "p": 0.25, "e_tx": 3.432137350178167, '
+        '"rt": 1.7160686750890835}\n'),
+    "exact --k 3 --p 0.5 --oracle --json": (
+        '{"command": "exact", "k": 3, "p": 0.5, "e_tx": 8.109220139666636, '
+        '"rt": 2.703073379888879, "fine": 8.109220139666636, "diff": 0.0}\n'),
+    "bound --k 8 --p 0.25": (
+        "k=8 p=0.25\n"
+        "E[l]=12.902876\n"
+        "E[delta]=0.825585\n"
+        "MDS=12.286972\n"
+        "R_t upper=1.612859\n"
+        "R_t mds=1.535871\n"
+        "R_t gap=0.076988\n"),
+    "bound --k 8 --p 0.25 --json": (
+        '{"command": "bound", "k": 8, "p": 0.25, "e_ell": 12.902875562207146, '
+        '"e_delta": 0.8255845202902445, "mds": 12.286971610385281, '
+        '"rt_ell": 1.6128594452758933, "rt_mds": 1.5358714512981602, '
+        '"rt_gap": 0.07698799397773315}\n'),
+    "simulate --policy rl --k 5 --p 0.3 --trials 300 --seed 4": (
+        "policy=rl k=5 p=0.3 trials=300 seed=4\n"
+        "mean=11.410000\n"
+        "stderr=0.171639\n"
+        "R_t=2.282000\n"),
+    "simulate --policy rl --k 5 --p 0.3 --trials 300 --seed 4 --json": (
+        '{"command": "simulate", "policy": "rl", "k": 5, "p": 0.3, "trials": 300, '
+        '"seed": 4, "mean": 11.41, "stderr": 0.1716394161787325, "rt": 2.282}\n'),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == PINNED_STDOUT[command]
+
+
+def test_unknown_figure_message_pinned(capsys):
+    code, out, err = run_cli(capsys, "figure", "--which", "fig9")
+    assert (code, out) == (1, "")
+    assert err == ("usage error: figure must be one of "
+                   "('fig1a', 'fig1b', 'fig1c', 'fig2'), got 'fig9'\n")
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -1,4 +1,6 @@
 import hashlib
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +44,46 @@ class TestThreadCount:
         monkeypatch.setenv("XORCAST_THREADS", raw)
         with pytest.raises(ValueError):
             sim._thread_count()
+
+
+class TestParallelMap:
+    def test_keeps_order(self, monkeypatch):
+        monkeypatch.setenv("XORCAST_THREADS", "3")
+
+        def slow_square(x):  # early items finish last
+            time.sleep((8 - x) * 0.002)
+            return x * x
+
+        assert sim.parallel_map(slow_square, list(range(8))) == [x * x for x in range(8)]
+
+    def test_runs_on_worker_threads(self, monkeypatch):
+        monkeypatch.setenv("XORCAST_THREADS", "2")
+        for _ in range(2):  # a finished call leaves the caller's thread unmarked
+            idents = sim.parallel_map(lambda _: threading.get_ident(), [0, 1, 2])
+            assert threading.get_ident() not in idents
+
+    def test_nested_call_runs_serially(self, monkeypatch):
+        monkeypatch.setenv("XORCAST_THREADS", "2")
+
+        def outer(_):
+            inner = sim.parallel_map(lambda _: threading.get_ident(), [0, 1, 2, 3])
+            return threading.get_ident(), inner
+
+        for ident, inner in sim.parallel_map(outer, [0, 1]):
+            assert inner == [ident] * 4
+
+    def test_serial_without_threads(self, monkeypatch):
+        monkeypatch.delenv("XORCAST_THREADS", raising=False)
+        idents = sim.parallel_map(lambda _: threading.get_ident(), [0, 1, 2])
+        assert idents == [threading.get_ident()] * 3
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setenv("XORCAST_THREADS", "2")
+        capped = ExperimentConfig(k=3, p=0.9, policy="greedy", trials=10, master_seed=1,
+                                  max_tx_per_trial=2)
+        ok = ExperimentConfig(k=3, p=0.1, policy="greedy", trials=10, master_seed=1)
+        with pytest.raises(TransmissionCapError):
+            sim.parallel_map(run_experiment, [ok, capped])
 
 
 class TestHashStreams:
