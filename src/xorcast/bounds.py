@@ -6,21 +6,23 @@ transmissions for that reception schedule is an order-statistic sum over
 binomial tails. Lower bound: an ideal code where every delivery is innovative
 for every client, so each client needs exactly k receptions.
 
-Infinite sums are truncated once the summand drops below tail_epsilon and
-closed with a geometric tail estimate; reported values are good to 6 decimal
-places; past _MAX_TERMS terms a series raises SeriesLimitError. Each tail
-T(m, j0) = P[Bin(m, s) >= j0] is walked forward, T(m+1, j0) = T(m, j0) +
-s P[Bin(m, s) = j0-1], while it is the smaller side, then (where a running sum
-would drift near 1) summed from the lower side by _binom_tail: O(M + k M_lower).
+Both series sum survival probabilities built from the lower binomial tails
+L_j(m) = P[Bin(m, s) < j], j = 1..k+1, walked forward in m by
+L_j(m+1) = p L_j(m) + s L_{j-1}(m) (L_0 = 0, L_j(0) = 1): every step adds
+nonnegative products, so each tail keeps its relative precision on both sides
+of the mean, at O(k) per term. A sum is truncated once its summand drops below
+_TAIL_EPSILON and closed with a geometric tail estimate; reported values are
+good to 6 decimal places. A series whose summand at m = _MAX_TERMS is still
+above _TAIL_EPSILON raises SeriesLimitError before its first term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from math import exp, lgamma, log
 
 _MAX_TERMS = 10_000_000
+_TAIL_EPSILON = 1e-12  # series truncation tolerance
 
 
 class SeriesLimitError(RuntimeError):
@@ -34,18 +36,15 @@ def _check_loss(p: float) -> None:
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """Evaluation point: k packets, loss probability p, series truncation tolerance."""
+    """Evaluation point: k packets, loss probability p."""
 
     k: int
     p: float
-    tail_epsilon: float = 1e-12
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         _check_loss(self.p)
-        if not self.tail_epsilon > 0.0:
-            raise ValueError(f"tail_epsilon must be positive, got {self.tail_epsilon}")
 
     @property
     def s(self) -> float:
@@ -133,19 +132,6 @@ def _binom_tail(m: int, j0: int, s: float, p: float) -> float:
     return min(1.0, max(0.0, acc.total))
 
 
-def _tail_walk(j0: int, s: float, p: float):
-    """Yield P[Bin(m, s) >= j0] for m = 0, 1, 2, ... (see the module docstring)."""
-    tail, f, m = _KahanSum(), 0.0, 0  # f = f(m) = P[Bin(m, s) = j0-1]; 0 reseeds
-    while j0 > (m + 1) * s:
-        yield tail.total
-        if m >= j0 - 1:
-            f = f or exp(_log_binom_term(m, j0 - 1, s, p))
-            tail.add(s * f)
-            f *= p * (m + 1) / (m + 2 - j0)
-        m += 1
-    yield from (_binom_tail(n, j0, s, p) for n in count(m))
-
-
 def d1(m: int, query: BoundQuery) -> float:
     """Probability one client holds at least k receptions after m transmissions."""
     if m < 0:
@@ -160,21 +146,25 @@ def d2(m: int, query: BoundQuery) -> float:
     return _binom_tail(m, query.k + 1, query.s, query.p)
 
 
-def _survival_series(query: BoundQuery, completion_prob) -> float:
-    """Sum_{m=0}^inf (1 - completion_prob(m)) with a geometric tail estimate.
+def _lower_tails(k: int, s: float, p: float):
+    """Yield (L_k(m), L_{k+1}(m)) for m = 0, 1, 2, ..., where L_j(m) = P[Bin(m, s) < j]."""
+    low = [1.0] * (k + 1)  # L_1(m) .. L_{k+1}(m); L_0 = 0
+    while True:
+        yield low[k - 1], low[k]
+        low = [p * a + s * b for a, b in zip(low, [0.0] + low)]
 
-    completion_prob(m), called for m = 0, 1, 2, ... in order, rises to 1 and is <= 1 - p^m.
+
+def _survival_series(query: BoundQuery, survival) -> float:
+    """Sum_{m=0}^inf survival(m) with a geometric tail estimate.
+
+    survival(m), called for m = 0, 1, 2, ... in order, never rises and falls to 0.
     """
     acc = _KahanSum()
-    eps = query.tail_epsilon
-    limit = f"series needs more than {_MAX_TERMS} terms (k={query.k}, p={query.p})"
-    if query.p > 0.0 and log(eps) / log(query.p) > _MAX_TERMS:  # no summand below p^m
-        raise SeriesLimitError(limit)
     m = 0
     while True:
-        term = 1.0 - completion_prob(m)
-        if term < eps and m > query.k:
-            nxt = 1.0 - completion_prob(m + 1)
+        term = survival(m)
+        if term < _TAIL_EPSILON and m > query.k:
+            nxt = survival(m + 1)
             if 0.0 < nxt < term:
                 rho = nxt / term
                 acc.add(term * rho / (1.0 - rho))
@@ -182,42 +172,50 @@ def _survival_series(query: BoundQuery, completion_prob) -> float:
         acc.add(term)
         m += 1
         if m > _MAX_TERMS:
-            raise SeriesLimitError(limit)
+            raise SeriesLimitError(_limit_message(query))
     return acc.total
+
+
+def _limit_message(query: BoundQuery) -> str:
+    return f"series needs more than {_MAX_TERMS} terms (k={query.k}, p={query.p})"
+
+
+def _tail_series(query: BoundQuery, survival) -> float:
+    """Sum_m survival(L_k(m), L_{k+1}(m)); raise up front if that cannot converge.
+
+    The summand never rises with m, so the series stops within _MAX_TERMS terms
+    iff its value at M = _MAX_TERMS is below _TAIL_EPSILON. Where k > (M+1)s the
+    mode of Bin(M, s) is below k, so the summand is at least P[mode] >= 1/(M+1).
+    """
+    k, s, p, big_m = query.k, query.s, query.p, _MAX_TERMS
+    if p > 0.0:  # x = 1 stands in for a summand >= 1/(M+1) > _TAIL_EPSILON
+        x = 1.0 - _binom_tail(big_m, k, s, p) if k <= (big_m + 1) * s else 1.0
+        if survival(x, x + exp(_log_binom_term(big_m, k, s, p))) >= _TAIL_EPSILON:
+            raise SeriesLimitError(_limit_message(query))
+    tails = _lower_tails(k, s, p)
+    return _survival_series(query, lambda m: survival(*next(tails)))
 
 
 def expected_ell(query: BoundQuery) -> float:
     """Expected transmissions until two clients reach k receptions and one k+1.
 
-    This is the upper bound on the exact greedy transmission count: the
-    completion probability after m transmissions factors into the two
-    at-least-k tails times one at-least-k-plus-1 tail, and the expectation is
-    the sum of the survival probabilities. The first k+1 terms are exactly 1.
+    This is the upper bound on the exact greedy transmission count. With
+    x = L_k(m) and y = L_{k+1}(m) the completion probability after m
+    transmissions is (1-x)^2 (1-y), and the expectation is the sum of the
+    survival probabilities 1 - (1-x)^2 (1-y) = x(2-x) + y(1-x)^2. The first
+    k+1 terms are exactly 1.
     """
-    tail_k = _tail_walk(query.k, query.s, query.p)
-    tail_k1 = _tail_walk(query.k + 1, query.s, query.p)
-
-    def completion(m: int) -> float:
-        a = next(tail_k)
-        return a * a * next(tail_k1)
-
-    return _survival_series(query, completion)
+    return _tail_series(query, lambda x, y: x * (2.0 - x) + y * (1.0 - x) ** 2)
 
 
 def mds_expected(query: BoundQuery) -> float:
     """Expected transmissions when every delivery is innovative for every client.
 
-    Each client then needs exactly k receptions, so the completion probability
-    is the cube of the at-least-k binomial tail. Lower bound for any linear
-    erasure code.
+    Each client then needs exactly k receptions, so the survival probability
+    after m transmissions is 1 - (1-x)^3 = x(3 - 3x + x^2) with x = L_k(m).
+    Lower bound for any linear erasure code.
     """
-    tail_k = _tail_walk(query.k, query.s, query.p)
-
-    def completion(m: int) -> float:
-        a = next(tail_k)
-        return a * a * a
-
-    return _survival_series(query, completion)
+    return _tail_series(query, lambda x, y: x * (3.0 - 3.0 * x + x * x))
 
 
 def retransmission_ratio(expected_tx: float, k: int) -> float:

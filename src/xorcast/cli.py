@@ -47,13 +47,13 @@ def _check_k(k: int, upper: int = 63) -> int:
 def _check_p(p: float) -> float:
     if not 0.0 <= p < 1.0:
         raise UsageError(f"loss probability must satisfy 0 <= p < 1, got {p}")
-    return p
+    return p + 0.0  # -0.0 becomes 0.0
 
 
 def _parse_p_grid(text: str) -> list[float]:
     """Parse a comma-separated grid; FigureSpec checks its values and order."""
     try:
-        grid = [float(x) for x in text.split(",") if x.strip()]
+        grid = [float(x) + 0.0 for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad p-grid: {exc}") from exc
     if not grid:

@@ -239,8 +239,6 @@ class TestBoundQuery:
             BoundQuery(k=0, p=0.5)
         with pytest.raises(ValueError):
             BoundQuery(k=2, p=1.0)
-        with pytest.raises(ValueError):
-            BoundQuery(k=2, p=0.5, tail_epsilon=0.0)
 
     def test_s(self):
         assert BoundQuery(k=2, p=0.25).s == pytest.approx(0.75)
@@ -254,20 +252,20 @@ def test_kahan_sum_precision():
 
 
 def test_survival_series_guard(monkeypatch):
-    # a completion probability stuck at 0 must hit the iteration guard
+    # a survival probability stuck at 1 must hit the iteration guard
     monkeypatch.setattr(bounds, "_MAX_TERMS", 1000)
     q = BoundQuery(k=1, p=0.5)
     with pytest.raises(RuntimeError):
-        bounds._survival_series(q, lambda m: 0.0)
+        bounds._survival_series(q, lambda m: 1.0)
 
 
 def _per_m_series(q, completion):
     # the direct method: every tail recomputed from the public d1/d2
-    return bounds._survival_series(q, lambda m: completion(d1(m, q), d2(m, q)))
+    return bounds._survival_series(q, lambda m: 1.0 - completion(d1(m, q), d2(m, q)))
 
 
 @pytest.mark.parametrize("k, p", [(k, p) for k in (1, 2, 3, 8, 32)
-                                  for p in (0.0, 0.1, 0.5, 0.9)] + [(8, 0.99)])
+                                  for p in (0.0, 0.1, 0.5, 0.9)] + [(8, 0.99), (32, 0.99)])
 def test_tail_walk_matches_per_m_series(k, p):
     q = BoundQuery(k=k, p=p)
     assert expected_ell(q) == pytest.approx(_per_m_series(q, lambda a, b: a * a * b),
@@ -293,8 +291,26 @@ def test_pinned_values_k32_p0995():
 
 def test_converges_where_a_full_walk_stalls():
     # a plain running sum of T(m) for every m drifts near 1 by up to M ulps,
-    # holds 1 - T above tail_epsilon and ran this series to the term cap
-    assert mds_expected(BoundQuery(k=63, p=0.9999)) == pytest.approx(697952.993595, rel=1e-9)
+    # holds 1 - T above the truncation tolerance and ran this series to the
+    # term cap; the value is an extended-precision sum rounded to 6 decimals
+    assert mds_expected(BoundQuery(k=63, p=0.9999)) == pytest.approx(697952.993607, abs=1e-6)
+
+
+def test_pinned_values_k63_p0999():
+    q = BoundQuery(k=63, p=0.999)
+    assert expected_ell(q) == pytest.approx(70161.529587, abs=1e-6)
+    assert mds_expected(q) == pytest.approx(69792.240487, abs=1e-6)
+
+
+@pytest.mark.parametrize("series", [expected_ell, mds_expected])
+def test_series_terms_never_call_binom_tail(monkeypatch, series):
+    # the tails come from one forward recurrence; only the up-front cap check
+    # may evaluate a binomial tail directly
+    calls = []
+    tail = bounds._binom_tail
+    monkeypatch.setattr(bounds, "_binom_tail", lambda *a: calls.append(a) or tail(*a))
+    series(BoundQuery(k=32, p=0.99))
+    assert len(calls) <= 1
 
 
 def test_series_additions_stay_linear(monkeypatch):
@@ -314,11 +330,44 @@ def test_series_additions_stay_linear(monkeypatch):
     assert calls[0] < 1_000_000
 
 
-def test_series_term_limit_raised_up_front(monkeypatch):
-    # no summand is below p^m, so at this p no series reaches tail_epsilon
-    # within _MAX_TERMS terms; it must raise before summing a single term
-    added = []
-    monkeypatch.setattr(bounds._KahanSum, "add", lambda self, x: added.append(x))
-    with pytest.raises(bounds.SeriesLimitError):
-        mds_expected(BoundQuery(k=2, p=0.999999))
-    assert not added
+@pytest.fixture
+def walked(monkeypatch):
+    """Every (L_k, L_{k+1}) pair the series walk yields, in order."""
+    seen = []
+    walk = bounds._lower_tails
+
+    def recording_walk(*args):
+        for tails in walk(*args):
+            seen.append(tails)
+            yield tails
+
+    monkeypatch.setattr(bounds, "_lower_tails", recording_walk)
+    return seen
+
+
+def test_series_term_limit_raised_up_front(walked):
+    # the summand never rises with m and is still above the truncation
+    # tolerance at m = _MAX_TERMS, so each series must raise before it walks
+    # its tails to a single term
+    for k, p in [(2, 0.999999), (63, 0.99999), (63, 0.999995)]:
+        for series in (expected_ell, mds_expected):
+            with pytest.raises(bounds.SeriesLimitError):
+                series(BoundQuery(k=k, p=p))
+            assert not walked, (k, p, series.__name__)
+
+
+@pytest.mark.parametrize("series", [expected_ell, mds_expected])
+def test_series_term_limit_is_exact(monkeypatch, walked, series):
+    # the up-front test raises for exactly the caps below the stopping term
+    q = BoundQuery(k=3, p=0.7)
+    series(q)
+    stop = len(walked) - 2  # the walk also yields the term after the stop
+    for cap in range(q.k + 1, stop + 4):
+        monkeypatch.setattr(bounds, "_MAX_TERMS", cap)
+        walked.clear()
+        if cap < stop:
+            with pytest.raises(bounds.SeriesLimitError):
+                series(q)
+            assert not walked, cap
+        else:
+            series(q)

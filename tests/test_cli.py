@@ -54,6 +54,7 @@ class TestExact:
     def test_p_validation(self, capsys):
         assert run_cli(capsys, "exact", "--k", "2", "--p", "1.0")[0] == 1
         assert run_cli(capsys, "exact", "--k", "2", "--p", "-0.1")[0] == 1
+        assert run_cli(capsys, "exact", "--k", "2", "--p", "-0")[1].startswith("k=2 p=0\n")
 
 
 class TestBound:
@@ -156,6 +157,9 @@ class TestFigure:
         zero_rows = [ln for ln in lines[1:] if ln.split(",")[2] == "0"]
         assert len(zero_rows) == 2
         assert all(ln.endswith("0.000000") for ln in zero_rows)
+        # a negative zero is the same grid point, written as 0
+        assert run_cli(capsys, "figure", "--which", "fig1c",
+                       "--p-grid=-0.0,0.25,0.5")[1] == out
 
     def test_fig1c_values_finite_nonnegative(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "--which", "fig1c")
@@ -331,9 +335,9 @@ PINNED_STDOUT = {
         "R_t gap=0.076988\n"),
     "bound --k 8 --p 0.25 --json": (
         '{"command": "bound", "k": 8, "p": 0.25, "e_ell": 12.902875562207146, '
-        '"e_delta": 0.8255845202902445, "mds": 12.286971610385281, '
-        '"rt_ell": 1.6128594452758933, "rt_mds": 1.5358714512981602, '
-        '"rt_gap": 0.07698799397773315}\n'),
+        '"e_delta": 0.8255845202902445, "mds": 12.286971610385283, '
+        '"rt_ell": 1.6128594452758933, "rt_mds": 1.5358714512981604, '
+        '"rt_gap": 0.07698799397773293}\n'),
     "simulate --policy rl --k 5 --p 0.3 --trials 300 --seed 4": (
         "policy=rl k=5 p=0.3 trials=300 seed=4\n"
         "mean=11.410000\n"
