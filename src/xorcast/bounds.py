@@ -19,7 +19,7 @@ above _TAIL_EPSILON raises SeriesLimitError before its first term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log
+from math import exp, lgamma, log, ulp
 
 _MAX_TERMS = 10_000_000
 _TAIL_EPSILON = 1e-12  # series truncation tolerance
@@ -128,7 +128,10 @@ def _binom_tail(m: int, j0: int, s: float, p: float) -> float:
     ratio = s / p
     for j in range(j0, m + 1):
         acc.add(term)
-        term *= (m - j) / (j + 1) * ratio
+        shrink = (m - j) / (j + 1) * ratio  # below 1 here, and falling in j
+        term *= shrink
+        if term <= ulp(acc.total) / 2 * (1 - shrink):  # the rest sums to under term / (1 - shrink)
+            break
     return min(1.0, max(0.0, acc.total))
 
 

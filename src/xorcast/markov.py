@@ -5,9 +5,8 @@ k=3 (29 states) have hand-entered transition matrices whose entries are exact
 bivariate polynomials in (s, p); storing them symbolically lets the row-sum
 identity sum == 1 under p = 1-s be checked with integer arithmetic, which
 catches entry slips that numeric spot checks would miss. The fine-grained
-chain enumerates raw joint decoder states under the greedy policy, as triples
-of indices into gf2.subspace_table, and is the independent oracle the
-aggregated matrices are validated against.
+chain is the independent oracle they are validated against: the joint decoder
+states under greedy, closed as integer codes of gf2.subspace_table index triples.
 
 Both chains keep sparse rows {j: entry}, and every off-diagonal transition goes
 to a higher index (it strictly raises total rank), so (I - Q) mu = 1 is
@@ -273,7 +272,7 @@ def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
         raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p} "
                          "(expected transmissions diverge at p = 1)")
     mu = [0 * p] * chain.n_states
-    evaluate = lru_cache(maxsize=None)(lambda entry: entry.evaluate(p))  # once per entry
+    values = {}  # keyed by id: the chain holds every entry for the whole solve
     for i in range(chain.n_states - 1, -1, -1):
         if i == chain.absorbing_index:
             continue
@@ -281,10 +280,13 @@ def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
         for j, entry in chain.transitions[i].items():
             if j < i:
                 raise SolverError(f"transition {i} -> {j} goes to a lower index")
+            value = values.get(id(entry))
+            if value is None:
+                value = values[id(entry)] = entry.evaluate(p)
             if j == i:
-                stay = evaluate(entry)
+                stay = value
             else:
-                off += evaluate(entry) * mu[j]
+                off += value * mu[j]
         if stay == 1:
             raise SolverError(f"transient state {i} never leaves itself")
         mu[i] = (1 + off) / (1 - stay)
@@ -323,19 +325,26 @@ class FineChain:
         return len(self.states)
 
 
-@lru_cache(maxsize=None)
-def _count_poly(count: tuple[int, ...]) -> TransitionPoly:
-    """Sum of count[r] s^r p^(3-r), for count[r] reception masks with r receivers."""
-    return TransitionPoly(tuple(sorted((n, r, 3 - r) for r, n in enumerate(count) if n)))
+def _row_shape(grow: int) -> tuple[list[int], list[int], list[TransitionPoly]]:
+    """(reps, slots, polys) for the clients in bit pattern grow gaining rank: the successor
+    under mask m depends only on m & grow, whose values reps lists as first met over m = 0..7;
+    slots[m] indexes m & grow in reps, and polys[t] sums s^|m| p^(3-|m|) over slot t's m."""
+    reps = sorted({m & grow for m in range(8)})  # a submask first appears as itself
+    slots = [reps.index(m & grow) for m in range(8)]
+    polys = [TransitionPoly.zero() for _ in reps]
+    for m, t in enumerate(slots):
+        polys[t] = polys[t] + TransitionPoly(((1, m.bit_count(), 3 - m.bit_count()),))
+    return reps, slots, polys
 
 
 @lru_cache(maxsize=None)
 def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     """Breadth-first closure of joint states reachable from empty under greedy.
 
-    The closure runs on triples of subspace_table(k) indices: each state takes
-    one codeword choice on the span masks and finds its successors by table
-    lookup. Treat the result as immutable; instances are cached and shared.
+    State (a, b, c) of subspace_table(k) indices is the code (a*S + b)*S + c, S
+    the subspace count. Greedy w ignores client order, so it is scanned once per
+    sorted triple; mask m's successor adds the digit steps nxt[span][w] - span of
+    the clients that received. Treat the result as immutable; it is cached and shared.
     """
     if not 1 <= k <= MAX_FINE_DIM:
         raise ValueError(f"fine chain supports 1 <= k <= {MAX_FINE_DIM}, got {k}: "
@@ -344,54 +353,52 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
         raise ValueError(f"fine chain needs a deterministic tie_break, got {tie_break!r}")
 
     bases, members, nxt = subspace_table(k)
-    full = len(bases) - 1
-    states: list[tuple[int, int, int]] = [(0, 0, 0)]  # triples of span indices
-    index = {(0, 0, 0): 0}
-    choices: list[int | None] = []
-    mask_successors: list[tuple[int, ...] | None] = []
-    for state in states:  # grows as new states are found
-        if state == (full, full, full):
-            choices.append(None)
-            mask_successors.append(None)
+    size = len(bases)
+    full, square, top = size - 1, size * size, size**3 - 1  # top: every span full
+    shapes = [_row_shape(grow) for grow in range(8)]
+    codes, index, picks = [0], {0: 0}, {}  # picks: greedy w per sorted span triple
+    states, moves = [], []  # moves: [w, slots, polys, *successor ids] or None
+    for code in codes:  # grows as new states are found
+        a, bc = divmod(code, square)
+        b, c = divmod(bc, size)
+        states.append((bases[a], bases[b], bases[c]))
+        if code == top:
+            moves.append(None)
             continue
-        w, _ = _scan_spans([members[s] for s in state if s != full], k, tie_break, None)
-        (a, b, c), (x, y, z) = state, (nxt[s][w] for s in state)
-        succ = []  # under reception masks 0..7, bit c set = client c received
-        for key in ((a, b, c), (x, b, c), (a, y, c), (x, y, c),
-                    (a, b, z), (x, b, z), (a, y, z), (x, y, z)):
-            if key not in index:
-                index[key] = len(states)
-                states.append(key)
-            succ.append(index[key])
-        choices.append(w)
-        mask_successors.append(tuple(succ))
-    if (full, full, full) not in index:
+        key = tuple(sorted((a, b, c)))
+        if key not in picks:
+            picks[key] = _scan_spans([members[s] for s in key if s != full], k, tie_break, None)[0]
+        w = picks[key]
+        # digit steps of clients a, b, c, taken under reception mask bits 1, 2, 4
+        da, db, dc = (nxt[a][w] - a) * square, (nxt[b][w] - b) * size, nxt[c][w] - c
+        step = (0, da, db, da + db, dc, da + dc, db + dc, da + db + dc)
+        grow = (da != 0) | (db != 0) << 1 | (dc != 0) << 2
+        ids = []
+        for rep in shapes[grow][0]:
+            ids.append(index.setdefault(code + step[rep], len(codes)))
+            if ids[-1] == len(codes):  # a new code, given the next id
+                codes.append(code + step[rep])
+        moves.append([w, *shapes[grow][1:], *ids])
+    if top not in index:
         raise SolverError("fine chain closure never reached the full-rank state")
+    del codes, index  # rows need only the discovery ids: free the lookup first (peak memory)
 
     # Stable sort by total rank, which every non-self transition raises: the
     # solver's ordering contract then holds and the empty state stays at 0.
-    order = sorted(range(len(states)), key=lambda i: sum(len(bases[s]) for s in states[i]))
-    position = {old: new for new, old in enumerate(order)}
-    mask_successors = [None if succ is None else tuple(position[j] for j in succ)
-                       for succ in mask_successors]
-    states, choices, mask_successors = ([seq[i] for i in order]
-                                        for seq in (states, choices, mask_successors))
-
-    transitions: list[dict[int, TransitionPoly]] = []
-    for i, succ in enumerate(mask_successors):
-        if succ is None:
-            transitions.append({i: TransitionPoly.parse("1")})
-            continue
-        counts: dict[int, list[int]] = {}
-        for received, j in zip((0, 1, 1, 2, 1, 2, 2, 3), succ):  # receivers per mask
-            counts.setdefault(j, [0, 0, 0, 0])[received] += 1
-        transitions.append({j: _count_poly(tuple(count)) for j, count in counts.items()})
-
-    return FineChain(k=k, tie_break=tie_break,
-                     states=tuple(tuple(bases[s] for s in state) for state in states),
-                     choices=tuple(choices), mask_successors=tuple(mask_successors),
-                     transitions=tuple(transitions),
-                     absorbing_index=position[index[full, full, full]])
+    order = sorted(range(len(states)), key=lambda i: sum(map(len, states[i])))
+    position = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    choices, mask_successors, transitions = [], [], []
+    for old in order[:-1]:  # full state sorts last
+        (w, slots, polys, *ids), moves[old] = moves[old], None  # freed as read: peak memory
+        succ = [position[j] for j in ids]
+        choices.append(w)
+        mask_successors.append(tuple([succ[t] for t in slots]))
+        transitions.append(dict(zip(succ, polys)))
+    last = len(order) - 1
+    return FineChain(k=k, tie_break=tie_break, states=tuple(states[old] for old in order),
+                     choices=(*choices, None), mask_successors=(*mask_successors, None),
+                     transitions=(*transitions, {last: TransitionPoly.parse("1")}),
+                     absorbing_index=last)
 
 
 def absorption_time_fine(chain: FineChain, p: float) -> float:

@@ -320,23 +320,23 @@ def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     def step(h, recv, state):
         basis, rank = state[0].reshape(-1, k), state[1].reshape(-1)
         w = _rl_vectors(h, config, dtype)
-        # bits[i, j] = bit j of w[i]
-        bits = np.unpackbits(w.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
-                             count=k, bitorder="little")
         pick = np.flatnonzero(np.stack(recv, axis=1) & (state[1] < k))
         for at in range(0, pick.size, _PICK_ROWS):
             part = pick[at:at + _PICK_ROWS]
-            trial = part // 3  # pick holds flat (trial, client) pair indices
-            rows = basis[part]
-            terms = np.multiply(rows, bits[trial], dtype=dtype)
+            wp = w[part // 3]  # pick holds flat (trial, client) pair indices
+            rows = np.take(basis, part, axis=0)
+            # bits[i, j] = bit j of wp[i]
+            bits = np.unpackbits(wp.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                                 count=k, bitorder="little")
+            terms = np.multiply(rows, bits, dtype=dtype)
             reduced = np.bitwise_xor.reduce(terms, axis=1)
-            reduced ^= w[trial]
+            reduced ^= wp
             # the new pivot bit, 0 where w was already in the span
             low = reduced & (~reduced + one)
-            # clear it from the client's other rows: hit = reduced where a row has it
+            # clear it from the client's other rows: hit = reduced where a row has it,
+            # as (row & low) * (reduced // low), exact since low divides reduced
             hit = np.bitwise_and(rows, low[:, None], out=terms)
-            np.minimum(hit, one, out=hit)
-            hit *= reduced[:, None]
+            hit *= (reduced // np.maximum(low, one))[:, None]
             rows ^= hit
             new = np.flatnonzero(low)
             pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)

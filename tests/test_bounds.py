@@ -129,6 +129,13 @@ class TestBinomialTails:
         with pytest.raises(ValueError):
             d1(-1, BoundQuery(k=2, p=0.5))
 
+    def test_far_upper_tail_stops_early(self):
+        # j0 = 63 lies far above the mean m*s = 50, so the terms fall geometrically
+        # and the sum stops once they no longer move it: summing all 10^7 terms
+        # gave this value too, in seconds
+        assert bounds._binom_tail(10**7, 63, 5e-6, 1 - 5e-6) == pytest.approx(
+            0.04239053604998377, rel=1e-15)
+
 
 class TestExpectedEll:
     def test_lossless(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from xorcast import markov
 from xorcast.markov import (
     MarkovChainSpec,
     SolverError,
@@ -296,6 +297,17 @@ def test_fine_chain_pinned(k, tie_break):
     chain = build_fine_chain(k, tie_break)
     blob = repr((chain.states, chain.choices, chain.mask_successors, chain.transitions))
     assert hashlib.sha256(blob.encode()).hexdigest() == FINE_CHAIN_SHA256[k, tie_break]
+
+
+def test_one_greedy_scan_per_span_multiset(monkeypatch):
+    # greedy w ignores client order, so the closure scans each sorted span triple once
+    calls = []
+    scan = markov._scan_spans
+    monkeypatch.setattr(markov, "_scan_spans", lambda *a: calls.append(a) or scan(*a))
+    chain = build_fine_chain.__wrapped__(4)
+    multisets = {tuple(sorted(state)) for i, state in enumerate(chain.states)
+                 if i != chain.absorbing_index}
+    assert len(calls) == len(multisets) == 1082
 
 
 def test_k4_oracle_memory_guard():
