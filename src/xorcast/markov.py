@@ -388,7 +388,7 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     order = sorted(range(len(states)), key=lambda i: sum(map(len, states[i])))
     position = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     choices, mask_successors, transitions = [], [], []
-    for old in order[:-1]:  # full state sorts last
+    for old in order[:-1]:  # the full state, alone at rank 3k, sorts last
         (w, slots, polys, *ids), moves[old] = moves[old], None  # freed as read: peak memory
         succ = [position[j] for j in ids]
         choices.append(w)
