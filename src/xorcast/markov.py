@@ -337,7 +337,6 @@ def _row_shape(grow: int) -> tuple[list[int], list[int], list[TransitionPoly]]:
     return reps, slots, polys
 
 
-@lru_cache(maxsize=None)
 def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     """Breadth-first closure of joint states reachable from empty under greedy.
 
@@ -346,6 +345,11 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     sorted triple; mask m's successor adds the digit steps nxt[span][w] - span of
     the clients that received. Treat the result as immutable; it is cached and shared.
     """
+    return _fine_chain(k, tie_break)
+
+
+@lru_cache(maxsize=None)
+def _fine_chain(k: int, tie_break: str) -> FineChain:
     if not 1 <= k <= MAX_FINE_DIM:
         raise ValueError(f"fine chain supports 1 <= k <= {MAX_FINE_DIM}, got {k}: "
                          "joint state space grows as the cube of the subspace count")

@@ -57,6 +57,16 @@ class NetworkState:
         return all(c.is_satisfied() for c in self.clients)
 
 
+def _coverage_levels(nonzero, misses: list) -> list:
+    """levels[c]: the w in nonzero that at least c misses hold; ints or numpy words."""
+    levels = [nonzero]
+    for miss in misses:
+        levels.append(levels[-1] & miss)
+        for c in range(len(levels) - 2, 0, -1):
+            levels[c] |= levels[c - 1] & miss
+    return levels
+
+
 def _scan_spans(spans: list[int], k: int, tie_break: str,
                 rng: random.Random | None) -> tuple[int, int]:
     """Pick the nonzero w maximizing the number of spans that miss it.
@@ -67,11 +77,7 @@ def _scan_spans(spans: list[int], k: int, tie_break: str,
         raise ValueError("random tie-break needs an rng")
     if tie_break not in ("smallest", "largest", "random"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    # at_least[c]: mask of the nonzero w that at least c of the spans seen so far miss
-    at_least = [(1 << (1 << k)) - 2] + [0] * len(spans)
-    for seen, span in enumerate(spans, 1):
-        for c in range(seen, 0, -1):
-            at_least[c] |= at_least[c - 1] & ~span
+    at_least = _coverage_levels((1 << (1 << k)) - 2, [~span for span in spans])
     covered = max(c for c, ties in enumerate(at_least) if ties)
     ties = at_least[covered]
     if tie_break == "smallest":

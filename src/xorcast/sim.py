@@ -11,8 +11,9 @@ on the policy, which gives common random numbers for paired comparisons.
 run_trial is the scalar reference. The vector engines are step functions on
 one trial driver, _drive, which hashes, checks the transmission cap and
 compacts finished trials for all of them: counts for mds and bound, the
-joint-state table for greedy (k <= 4), a subspace table for rl (k <= 4) and
-one stacked array of the three clients' fully reduced bases for rl above that.
+joint-state table for greedy (k <= 4) and the three clients' span masks
+above that (k <= 14), a subspace table for rl (k <= 4) and one stacked array
+of the three clients' fully reduced bases for rl above that.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from itertools import count
 import numpy as np
 
 from . import markov
-from .gf2 import MAX_MASK_DIM, rref_insert, span_mask, subspace_table
-from .policy import _scan_spans
+from .gf2 import MAX_MASK_DIM, _low_halves, rref_insert, span_mask, subspace_table
+from .policy import _coverage_levels, _scan_spans
 
 _MASK64 = (1 << 64) - 1
 _MUL1 = 0xBF58476D1CE4E5B9
@@ -48,9 +49,12 @@ _PICK_ROWS = 1 << 12
 CHANNEL_POLICY = 3
 
 # Up to the fine-chain limit greedy runs on the joint-state table and rl on the
-# subspace table; beyond it greedy falls back to the scalar per-trial path and
-# rl keeps a basis per client.
+# subspace table; beyond it greedy keeps span masks and rl a basis per client.
 _TABLE_DIM_LIMIT = markov.MAX_FINE_DIM
+# Span masks cost O(2^k) a step, as run_trial's do: above this k run_trial is the
+# faster at p = 0.25 and 0.5, and greedy runs it once per trial.
+_MASK_DIM_LIMIT = 14
+_MASK_STATE_BYTES = 1 << 20
 
 
 class TransmissionCapError(RuntimeError):
@@ -349,6 +353,56 @@ def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     return _drive(config, lo, hi, state, step)
 
 
+def _mask_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """Greedy trials for _TABLE_DIM_LIMIT < k <= _MASK_DIM_LIMIT on span masks.
+
+    span[i, c] holds trial i's client c span as a 2^k-bit mask, bit x at bit x & 63
+    of uint64 word x >> 6. A full span misses nothing, so finished clients drop
+    out of the coverage levels by themselves.
+    """
+    k = config.k
+    words = max(1, (1 << k) >> 6)
+    full = np.full(words, (1 << min(1 << k, 64)) - 1, dtype=np.uint64)
+    nonzero = full ^ (np.arange(words) == 0)  # every w but 0
+
+    def step(h, recv, state):
+        span, trials, word, low = state[0], np.arange(len(state[0])), 0, 0
+        # the smallest w of the best nonempty level: its first nonzero word, then
+        # that word's lowest bit (the levels stay within nonzero, whatever ~span holds)
+        for level in _coverage_levels(nonzero, [~span[:, c] for c in range(3)])[1:]:
+            first = (level != 0).argmax(axis=1)
+            value = level[trials, first]
+            word, low = np.where(value != 0, first, word), np.where(value != 0, value, low)
+        bit = np.log2((low & (~low + np.uint64(1))).astype(np.float64)).astype(np.intp)
+        # only the (trial, client) rows that received a w outside their span grow
+        grows = np.stack(recv, axis=1)
+        grows &= (span[trials, :, word] >> bit[:, None].astype(np.uint64) & 1) == 0
+        pick = np.flatnonzero(grows)
+        word, bit, flat = word[pick // 3], bit[pick // 3], span.reshape(-1, words)
+        # moved[r] = row r translated by w, bit x taken from bit x ^ w: words i ^ (w >> 6),
+        # then within each word the halves that each set bit j of w & 63 selects swapped
+        moved = np.take(flat, (pick * words)[:, None] + (np.arange(words) ^ word[:, None]))
+        for j in range(min(k, 6)):
+            sel = np.flatnonzero(bit >> j & 1)
+            if j < 3:
+                x, shift = moved[sel], np.uint64(1 << j)
+                t = (x >> shift ^ x) & np.uint64(_low_halves(6)[j])
+                moved[sel] = x ^ t ^ t << shift
+            else:  # halves of whole bytes: swap neighbouring 8-, 16- or 32-bit lanes
+                lanes = moved.view(f"u{1 << (j - 3)}").reshape(len(moved), words << (5 - j), 2)
+                lanes[sel] = lanes[sel, :, ::-1]
+        flat[pick] |= moved
+        return (span == full).all(axis=(1, 2))
+
+    # _MASK_STATE_BYTES of trials per _drive call, so memory does not grow with the block
+    sub, blocks = max(1, _MASK_STATE_BYTES // (24 * words)), []
+    for at in range(lo, hi, sub):
+        span = np.zeros((min(sub, hi - at), 3, words), dtype=np.uint64)
+        span[:, :, 0] = 1  # every span holds the zero vector
+        blocks.append(_drive(config, at, at + len(span), [span], step))
+    return np.concatenate(blocks)
+
+
 def _scalar_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     return np.array([run_trial(config, i) for i in range(lo, hi)], dtype=np.int64)
 
@@ -391,6 +445,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         table = np.array([row or (i,) * 8 for i, row in enumerate(chain.mask_successors)],
                          dtype=np.intp)
         block_fn = partial(_table_block, table=table, absorbing=chain.absorbing_index)
+    elif config.k <= _MASK_DIM_LIMIT:
+        block_fn = _mask_block
     else:
         block_fn = _scalar_block
 

@@ -304,10 +304,19 @@ def test_one_greedy_scan_per_span_multiset(monkeypatch):
     calls = []
     scan = markov._scan_spans
     monkeypatch.setattr(markov, "_scan_spans", lambda *a: calls.append(a) or scan(*a))
-    chain = build_fine_chain.__wrapped__(4)
+    chain = markov._fine_chain.__wrapped__(4, "smallest")
     multisets = {tuple(sorted(state)) for i, state in enumerate(chain.states)
                  if i != chain.absorbing_index}
     assert len(calls) == len(multisets) == 1082
+
+
+def test_cache_keys_on_normalised_arguments():
+    # the default, positional and keyword tie-break forms share one build
+    markov._fine_chain.cache_clear()
+    chains = [build_fine_chain(3), build_fine_chain(3, "smallest"),
+              build_fine_chain(3, tie_break="smallest")]
+    assert markov._fine_chain.cache_info().misses == 1
+    assert chains[0] is chains[1] is chains[2]
 
 
 def test_k4_oracle_memory_guard():

@@ -147,10 +147,11 @@ class TestRunExperiment:
         assert np.array_equal(r1.tx_counts, r2.tx_counts)
 
     def test_threading_bit_identical(self, monkeypatch):
-        # greedy table, rl subspace table, rl bases and counts; every config
-        # but the first spans at least two blocks
+        # greedy table, greedy span masks, rl subspace table, rl bases and counts;
+        # every config but the first spans at least two blocks
         configs = [
             ExperimentConfig(k=2, p=0.5, policy="greedy", trials=100_000, master_seed=5),
+            ExperimentConfig(k=8, p=0.5, policy="greedy", trials=sim._BLOCK + 5000, master_seed=5),
             ExperimentConfig(k=3, p=0.5, policy="rl", trials=sim._BLOCK + 5000, master_seed=5),
             ExperimentConfig(k=8, p=0.5, policy="rl", trials=sim._BLOCK + 5000, master_seed=5),
             ExperimentConfig(k=32, p=0.5, policy="mds", trials=sim._BLOCK + 5000, master_seed=5),
@@ -163,10 +164,15 @@ class TestRunExperiment:
                 threaded = run_experiment(cfg)
                 assert np.array_equal(serial.tx_counts, threaded.tx_counts), (cfg, threads)
 
-    # rl on both sides of the subspace-table limit (k <= 4 table, k > 4 bases)
+    # rl on both sides of the subspace-table limit (k <= 4 table, k > 4 bases), and
+    # greedy on span masks and on both sides of their limit (the scalar path above it)
     @pytest.mark.parametrize("policy, k, p, include_zero", [
         pytest.param(policy, 3, 0.4, False, id=policy)
         for policy in ("greedy", "rl", "mds", "bound")
+    ] + [
+        pytest.param("greedy", k, p, False, id=f"greedy-k{k}-p{p}")
+        for k in (5, 8, 12, sim._MASK_DIM_LIMIT, sim._MASK_DIM_LIMIT + 1)
+        for p in (0.0, 0.4, 0.8)
     ] + [
         pytest.param("rl", k, p, zero, id=f"rl-k{k}-p{p}-{'zero' if zero else 'nonzero'}")
         for k in (2, 4, 5, 8, 9, 16, 17, 32, 33, 63) for p in (0.0, 0.4, 0.8)
@@ -180,13 +186,37 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert np.array_equal(scalar, res.tx_counts)
 
-    def test_scalar_fallback_greedy_k5(self):
-        # above the joint-state table limit the per-trial path is used
+    def test_mask_engine_greedy_k5(self):
+        # just above the joint-state table limit greedy runs on span masks
         cfg = ExperimentConfig(k=5, p=0.3, policy="greedy", trials=60, master_seed=4)
         res = run_experiment(cfg)
         assert np.array_equal(res.tx_counts,
                               np.array([run_trial(cfg, i) for i in range(60)]))
         assert res.mean_tx >= 5.0
+
+    def test_greedy_at_mask_dim_edge(self):
+        # k = 20, the largest greedy accepts, runs the scalar path
+        cfg = ExperimentConfig(k=20, p=0.25, policy="greedy", trials=2, master_seed=6)
+        res = run_experiment(cfg)
+        assert np.array_equal(res.tx_counts, [run_trial(cfg, i) for i in range(2)])
+
+    def test_mask_sub_blocks(self):
+        # _mask_block runs _MASK_STATE_BYTES of span masks at a time: 682 trials at
+        # k = 12. The cap is the first sub-block's largest count, so the first trial
+        # over it lies in the second sub-block.
+        k, trials = 12, 1000
+        sub = sim._MASK_STATE_BYTES // (3 * 8 * (1 << k) // 64)
+        assert sub < trials
+        cfg = ExperimentConfig(k=k, p=0.5, policy="greedy", trials=trials, master_seed=2)
+        scalar = np.array([run_trial(cfg, i) for i in range(trials)])
+        assert np.array_equal(run_experiment(cfg).tx_counts, scalar)
+        capped = ExperimentConfig(k=k, p=0.5, policy="greedy", trials=trials, master_seed=2,
+                                  max_tx_per_trial=int(scalar[:sub].max()))
+        over = np.flatnonzero(scalar > capped.max_tx_per_trial)
+        assert over.size
+        with pytest.raises(TransmissionCapError) as err:
+            run_experiment(capped)
+        assert err.value.trial_index == over[0]
 
     def test_histogram_totals(self):
         cfg = ExperimentConfig(k=2, p=0.5, policy="mds", trials=5000, master_seed=12)
@@ -205,6 +235,8 @@ class TestRunExperiment:
                              max_tx_per_trial=12),
             ExperimentConfig(k=3, p=0.5, policy="rl", trials=400, master_seed=1,
                              max_tx_per_trial=21),
+            ExperimentConfig(k=8, p=0.5, policy="greedy", trials=400, master_seed=1,
+                             max_tx_per_trial=30),
             ExperimentConfig(k=8, p=0.5, policy="rl", trials=400, master_seed=1,
                              max_tx_per_trial=43),
             ExperimentConfig(k=5, p=0.5, policy="mds", trials=400, master_seed=1,
@@ -285,6 +317,23 @@ class TestRlBasisPinned:
             "    k=32, p=0.5, policy='rl', trials=sim._BLOCK + 5000, master_seed=1)).mean_tx)")
         assert float(mean_tx) > 64
         assert peak_mb < 60
+
+
+class TestMaskEngineMemory:
+    def test_peak_bounded_by_sub_block(self):
+        # one _BLOCK of span masks at the engine's largest k holds 3 * 2^k / 8 bytes
+        # a trial, 201 MB at k = 14; run _MASK_STATE_BYTES at a time, it peaks where
+        # one sub-block does (37 MB here). Lossless channels grow every row each
+        # step, which makes the largest temporaries, and end each trial in k steps.
+        run = ("from xorcast import sim\n"
+               "print(sim.run_experiment(sim.ExperimentConfig(\n"
+               "    k=sim._MASK_DIM_LIMIT, p=0.0, policy='greedy', trials={},\n"
+               "    master_seed=1)).mean_tx)")
+        sub = sim._MASK_STATE_BYTES // (3 * (1 << sim._MASK_DIM_LIMIT) // 8)
+        (sub_mean,), sub_mb = run_measuring_peak(run.format(sub))
+        (block_mean,), block_mb = run_measuring_peak(run.format("sim._BLOCK"))
+        assert float(sub_mean) == float(block_mean) == sim._MASK_DIM_LIMIT
+        assert block_mb < sub_mb + 2
 
 
 class TestRlDraws:
