@@ -165,7 +165,8 @@ class TestRunExperiment:
                 assert np.array_equal(serial.tx_counts, threaded.tx_counts), (cfg, threads)
 
     # rl on both sides of the subspace-table limit (k <= 4 table, k > 4 bases), and
-    # greedy on span masks and on both sides of their limit (the scalar path above it)
+    # greedy on span masks, on both sides of their limit (the scalar path above it)
+    # and at k = 20, the largest greedy accepts
     @pytest.mark.parametrize("policy, k, p, include_zero", [
         pytest.param(policy, 3, 0.4, False, id=policy)
         for policy in ("greedy", "rl", "mds", "bound")
@@ -174,12 +175,14 @@ class TestRunExperiment:
         for k in (5, 8, 12, sim._MASK_DIM_LIMIT, sim._MASK_DIM_LIMIT + 1)
         for p in (0.0, 0.4, 0.8)
     ] + [
+        pytest.param("greedy", sim.MAX_MASK_DIM, 0.4, False, id=f"greedy-k{sim.MAX_MASK_DIM}-p0.4")
+    ] + [
         pytest.param("rl", k, p, zero, id=f"rl-k{k}-p{p}-{'zero' if zero else 'nonzero'}")
         for k in (2, 4, 5, 8, 9, 16, 17, 32, 33, 63) for p in (0.0, 0.4, 0.8)
         for zero in (False, True)
     ])
     def test_vectorized_matches_scalar(self, policy, k, p, include_zero):
-        trials = 300 if k <= 8 else 100
+        trials = 2 if k == sim.MAX_MASK_DIM else 300 if k <= 8 else 100
         cfg = ExperimentConfig(k=k, p=p, policy=policy, trials=trials, master_seed=99,
                                rl_include_zero=include_zero)
         scalar = np.array([run_trial(cfg, i) for i in range(cfg.trials)])
@@ -193,12 +196,6 @@ class TestRunExperiment:
         assert np.array_equal(res.tx_counts,
                               np.array([run_trial(cfg, i) for i in range(60)]))
         assert res.mean_tx >= 5.0
-
-    def test_greedy_at_mask_dim_edge(self):
-        # k = 20, the largest greedy accepts, runs the scalar path
-        cfg = ExperimentConfig(k=20, p=0.25, policy="greedy", trials=2, master_seed=6)
-        res = run_experiment(cfg)
-        assert np.array_equal(res.tx_counts, [run_trial(cfg, i) for i in range(2)])
 
     def test_mask_sub_blocks(self):
         # _mask_block runs _MASK_STATE_BYTES of span masks at a time: 682 trials at
@@ -321,20 +318,20 @@ class TestRlBasisPinned:
 
 class TestMaskEngineMemory:
     def test_peak_bounded_by_sub_block(self):
-        # one _BLOCK of span masks at the engine's largest k holds 3 * 2^k / 8 bytes
-        # a trial, 402 MB at k = 15; run _MASK_STATE_BYTES at a time, it peaks within
-        # a few MB of one sub-block (39.0 against 37.0 MB here). Lossless channels grow
-        # every row each step, which makes the largest temporaries, and end each
-        # trial in k steps.
+        # span masks at the engine's largest k hold 3 * 2^k / 8 bytes a trial, 12 KB at
+        # k = 15, so 2,000 trials held at once would be 24 MB of state before the
+        # step's temporaries; run _MASK_STATE_BYTES (85 trials) at a time, they peak
+        # within a few MB of one sub-block. Lossless channels grow every row each
+        # step, which makes the largest temporaries, and end each trial in k steps.
         run = ("from xorcast import sim\n"
                "print(sim.run_experiment(sim.ExperimentConfig(\n"
                "    k=sim._MASK_DIM_LIMIT, p=0.0, policy='greedy', trials={},\n"
                "    master_seed=1)).mean_tx)")
         sub = sim._MASK_STATE_BYTES // (3 * (1 << sim._MASK_DIM_LIMIT) // 8)
         (sub_mean,), sub_mb = run_measuring_peak(run.format(sub))
-        (block_mean,), block_mb = run_measuring_peak(run.format("sim._BLOCK"))
-        assert float(sub_mean) == float(block_mean) == sim._MASK_DIM_LIMIT
-        assert block_mb < sub_mb + 5
+        (many_mean,), many_mb = run_measuring_peak(run.format(2000))
+        assert float(sub_mean) == float(many_mean) == sim._MASK_DIM_LIMIT
+        assert many_mb < sub_mb + 5
 
 
 class TestRlDraws:
