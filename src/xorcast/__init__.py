@@ -25,7 +25,6 @@ from .bounds import (
     mds_expected,
     p_delta,
     retransmission_ratio,
-    span_cardinality,
 )
 from .sim import ExperimentConfig, ExperimentResult, run_experiment, run_trial
 
@@ -49,7 +48,6 @@ __all__ = [
     "expected_absorption_time",
     "absorption_time_fine",
     "BoundQuery",
-    "span_cardinality",
     "p_delta",
     "expected_delta",
     "expected_ell",

@@ -67,13 +67,6 @@ class _KahanSum:
         self.total = t
 
 
-def span_cardinality(r: int) -> int:
-    """Number of nonzero vectors spanned by r independent codewords: 2^r - 1."""
-    if r < 0:
-        raise ValueError(f"rank must be >= 0, got {r}")
-    return (1 << r) - 1
-
-
 def p_delta(beta: int, p: float) -> float:
     """Probability the lagging client collects exactly beta redundant codewords.
 
@@ -133,20 +126,6 @@ def _binom_tail(m: int, j0: int, s: float, p: float) -> float:
         if term <= ulp(acc.total) / 2 * (1 - shrink):  # the rest sums to under term / (1 - shrink)
             break
     return min(1.0, max(0.0, acc.total))
-
-
-def d1(m: int, query: BoundQuery) -> float:
-    """Probability one client holds at least k receptions after m transmissions."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return _binom_tail(m, query.k, query.s, query.p)
-
-
-def d2(m: int, query: BoundQuery) -> float:
-    """Probability one client holds at least k+1 receptions after m transmissions."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return _binom_tail(m, query.k + 1, query.s, query.p)
 
 
 def _lower_tails(k: int, s: float, p: float):

@@ -15,12 +15,14 @@ import sys
 from dataclasses import dataclass
 
 from . import bounds, markov, sim
+from .gf2 import MAX_DIM
 from .policy import CoverageSearchError
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
 DEFAULT_FIG2_KMAX = 32
 DEFAULT_P_GRID = tuple(round(0.05 * i, 2) for i in range(19))  # 0.00 .. 0.90
+FIG2_P = (0.25, 0.5)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_k(k: int, upper: int = 63) -> int:
+def _check_k(k: int, upper: int = MAX_DIM) -> int:
     if not 2 <= k <= upper:
         why = " (single-packet runs are trivial)" if k < 2 else ""
         raise UsageError(f"k must be in [2, {upper}], got {k}{why}")
@@ -136,7 +138,7 @@ FIGURES = {
     "fig1c": (("exact_minus_mds_rt",),
               lambda grid, k_max: [(k, p) for k in (2, 3) for p in grid]),
     "fig2": (("bound_ell", "mds", "rl_sim", "rl_sim_stderr"),
-             lambda grid, k_max: [(k, p) for p in (0.25, 0.5) for k in range(2, k_max + 1)]),
+             lambda grid, k_max: [(k, p) for p in FIG2_P for k in range(2, k_max + 1)]),
 }
 
 
@@ -196,6 +198,9 @@ def cmd_figure(args, out) -> int:
     if args.trials < 1:
         raise UsageError(f"trials must be >= 1, got {args.trials}")
     k_max = _check_k(args.k_max)
+    if args.which == "fig2" and args.p_grid is not None:
+        raise UsageError(f"fig2 runs at the fixed loss probabilities p in {FIG2_P} "
+                         "and takes no --p-grid")
     p_grid = _parse_p_grid(args.p_grid) if args.p_grid else None
     spec = FigureSpec.build(args.which, p_grid)
     rows = figure_rows(spec, args.trials, args.seed, k_max)
@@ -256,7 +261,8 @@ def build_parser() -> _Parser:
     p_fig.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_fig.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_fig.add_argument("--p-grid", default=None,
-                       help="comma-separated loss probabilities (default 0.00..0.90 step 0.05)")
+                       help="comma-separated loss probabilities for fig1a/b/c "
+                            "(default 0.00..0.90 step 0.05)")
     p_fig.add_argument("--k-max", type=int, default=DEFAULT_FIG2_KMAX,
                        help="largest packet count for the batch-size sweep")
     p_fig.set_defaults(func=cmd_figure)

@@ -1,4 +1,4 @@
-"""Bit-packed linear algebra over GF(2): coding vectors, client decoders, decoding.
+"""Bit-packed linear algebra over GF(2): coding vectors, client spans, span masks.
 
 Vectors live in GF(2)^k and are stored as Python ints, bit j being the
 coefficient of input packet j+1. Client-side state is a basis in reduced
@@ -23,10 +23,6 @@ class DimensionMismatchError(ValueError):
     """Operands disagree on the vector dimension k."""
 
 
-class NotDecodableError(RuntimeError):
-    """Decode requested before the decoder reached full rank."""
-
-
 @dataclass(frozen=True)
 class CodingVector:
     """Coefficient vector of one codeword; bit j = coefficient of packet j+1."""
@@ -39,32 +35,6 @@ class CodingVector:
             raise ValueError(f"dimension k must be in [1, {MAX_DIM}], got {self.k}")
         if not 0 <= self.bits < (1 << self.k):
             raise ValueError(f"bits {self.bits:#x} out of range for k={self.k}")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "CodingVector":
-        """Build from an iterable of 0/1 coefficients, packet 1 first."""
-        coeffs = list(coeffs)
-        bits = 0
-        for j, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError(f"coefficient must be 0 or 1, got {c!r}")
-            bits |= c << j
-        return cls(bits, len(coeffs))
-
-    def coeffs(self) -> list[int]:
-        return [(self.bits >> j) & 1 for j in range(self.k)]
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def is_unit(self) -> bool:
-        """True when the vector is a standard unit vector, i.e. an uncoded packet."""
-        return self.bits != 0 and (self.bits & (self.bits - 1)) == 0
-
-    def __xor__(self, other: "CodingVector") -> "CodingVector":
-        if self.k != other.k:
-            raise DimensionMismatchError(f"k mismatch: {self.k} vs {other.k}")
-        return CodingVector(self.bits ^ other.bits, self.k)
 
 
 class InsertResult(enum.Enum):
@@ -101,14 +71,6 @@ def rref_insert(rows: tuple[int, ...], bits: int) -> tuple[int, ...] | None:
     if not placed:
         out.append(reduced)
     return tuple(out)
-
-
-def span_of_rows(rows) -> frozenset[int]:
-    """All 2^r vectors spanned by the rows, zero included."""
-    span = {0}
-    for row in rows:
-        span |= {x ^ row for x in span}
-    return frozenset(span)
 
 
 @lru_cache(maxsize=None)
@@ -167,20 +129,17 @@ def subspace_table(k: int) -> tuple[tuple, tuple, tuple]:
 class ClientDecoder:
     """Tracks the span of one client's received codewords.
 
-    Only the span and a reception counter are kept: every transmitter decision
-    depends on rank and span membership, never on the raw received multiset.
-    The original vectors of innovative receptions are retained for decoding.
+    Only the span is kept: every transmitter decision depends on rank and span
+    membership, never on the raw received multiset or the payloads.
     """
 
-    __slots__ = ("k", "_rows", "_history", "received_count")
+    __slots__ = ("k", "_rows")
 
     def __init__(self, k: int):
         if not 1 <= k <= MAX_DIM:
             raise ValueError(f"dimension k must be in [1, {MAX_DIM}], got {k}")
         self.k = k
         self._rows: tuple[int, ...] = ()
-        self._history: list[int] = []
-        self.received_count = 0
 
     @classmethod
     def from_vectors(cls, k: int, vectors) -> "ClientDecoder":
@@ -211,101 +170,16 @@ class ClientDecoder:
     def is_satisfied(self) -> bool:
         return len(self._rows) == self.k
 
-    def contains(self, w) -> bool:
-        """True iff w is in the span of the received codewords (zero always is)."""
-        return rref_reduce(self._rows, self._coerce(w)) == 0
-
     def insert(self, w) -> InsertResult:
         """Record a received codeword; rank grows by one exactly when innovative."""
         bits = self._coerce(w)
-        self.received_count += 1
         new_rows = rref_insert(self._rows, bits)
         if new_rows is None:
             return InsertResult.DEPENDENT
         self._rows = new_rows
-        self._history.append(bits)
         return InsertResult.INNOVATIVE
-
-    def span(self) -> frozenset[int]:
-        """All 2^rank vectors in the span, zero included."""
-        return span_of_rows(self._rows)
-
-    def decode(self, payloads: list[bytes]) -> list[bytes]:
-        """Recover the k input-packet payloads from the innovative codeword payloads.
-
-        payloads[i] must be the payload of the i-th innovative codeword, in
-        reception order (matching the stored original coding vectors). All
-        blocks must have equal length.
-        """
-        if len(self._rows) < self.k:
-            raise NotDecodableError(f"rank {len(self._rows)} < k={self.k}")
-        if len(payloads) != self.k:
-            raise ValueError(f"expected {self.k} payload blocks, got {len(payloads)}")
-        size = len(payloads[0])
-        if any(len(b) != size for b in payloads):
-            raise ValueError("payload blocks must have equal length")
-
-        vecs = list(self._history)
-        blocks = [bytearray(b) for b in payloads]
-        # Gauss-Jordan to the identity; row j ends up as packet j+1.
-        for col in range(self.k):
-            piv_row = next(r for r in range(col, self.k) if (vecs[r] >> col) & 1)
-            vecs[col], vecs[piv_row] = vecs[piv_row], vecs[col]
-            blocks[col], blocks[piv_row] = blocks[piv_row], blocks[col]
-            for r in range(self.k):
-                if r != col and (vecs[r] >> col) & 1:
-                    vecs[r] ^= vecs[col]
-                    buf = blocks[r]
-                    src = blocks[col]
-                    for i in range(size):
-                        buf[i] ^= src[i]
-        return [bytes(b) for b in blocks]
-
-    def copy(self) -> "ClientDecoder":
-        dup = ClientDecoder(self.k)
-        dup._rows = self._rows
-        dup._history = list(self._history)
-        dup.received_count = self.received_count
-        return dup
 
     def __repr__(self):
         rows = ",".join(f"{r:0{self.k}b}" for r in self._rows)
         return f"ClientDecoder(k={self.k}, rank={self.rank}, rows=[{rows}])"
 
-
-def rank(vectors: list) -> int:
-    """Rank of a set of coding vectors, by Gaussian elimination from scratch."""
-    dims = {v.k for v in vectors if isinstance(v, CodingVector)}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"mixed dimensions: {sorted(dims)}")
-    work = [v.bits if isinstance(v, CodingVector) else int(v) for v in vectors]
-    r = 0
-    for col in range(max(work).bit_length() if work else 0):
-        mask = 1 << col
-        piv = next((i for i in range(r, len(work)) if work[i] & mask), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
-def encode_payload(vector, packets: list[bytes]) -> bytes:
-    """XOR together the packet payloads selected by the coding vector."""
-    bits = vector.bits if isinstance(vector, CodingVector) else int(vector)
-    if not packets:
-        raise ValueError("no packets")
-    size = len(packets[0])
-    if any(len(b) != size for b in packets):
-        raise ValueError("packet payloads must have equal length")
-    out = bytearray(size)
-    for j, blk in enumerate(packets):
-        if (bits >> j) & 1:
-            for i in range(size):
-                out[i] ^= blk[i]
-    return bytes(out)

@@ -98,11 +98,6 @@ class TransitionPoly:
             merged[(a, b)] = merged.get((a, b), 0) + c
         return TransitionPoly(tuple(sorted((c, a, b) for (a, b), c in merged.items() if c)))
 
-    def __str__(self) -> str:
-        if not self.monomials:
-            return "0"
-        return " + ".join(f"{c}*s^{a}*p^{b}" for c, a, b in self.monomials)
-
 
 @dataclass(frozen=True)
 class MarkovChainSpec:
@@ -116,13 +111,6 @@ class MarkovChainSpec:
     @property
     def n_states(self) -> int:
         return len(self.descriptions)
-
-    @property
-    def matrix(self) -> tuple[tuple[TransitionPoly, ...], ...]:
-        """Dense view of transitions, zero polynomials where a row has no entry."""
-        zero = TransitionPoly.zero()
-        return tuple(tuple(row.get(j, zero) for j in range(self.n_states))
-                     for row in self.transitions)
 
 
 # Aggregated chain for k=2. Rows indexed by state, sparse {column: entry}.
@@ -254,16 +242,6 @@ def check_conservation(chain: MarkovChainSpec) -> None:
         coeffs = row_sum_coeffs(chain, i)
         if coeffs[0] != 1 or any(c != 0 for c in coeffs[1:]):
             raise AssertionError(f"row {i} sums to polynomial {coeffs}, expected [1]")
-
-
-def format_chain(chain: MarkovChainSpec) -> str:
-    """Debug dump: one line per nonzero transition entry."""
-    lines = []
-    for i in range(chain.n_states):
-        for j, entry in chain.transitions[i].items():
-            if entry.monomials:
-                lines.append(f"{i}, {chain.descriptions[i]}, -> {j}: {entry}")
-    return "\n".join(lines)
 
 
 def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:

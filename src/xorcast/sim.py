@@ -21,14 +21,14 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import count
 
 import numpy as np
 
 from . import markov
-from .gf2 import MAX_MASK_DIM, _low_halves, rref_insert, span_mask, subspace_table
+from .gf2 import MAX_DIM, MAX_MASK_DIM, _low_halves, rref_insert, span_mask, subspace_table
 from .policy import _coverage_levels, _scan_spans
 
 _MASK64 = (1 << 64) - 1
@@ -78,8 +78,8 @@ class ExperimentConfig:
     rl_include_zero: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.k <= 63:
-            raise ValueError(f"k must be in [1, 63], got {self.k}")
+        if not 1 <= self.k <= MAX_DIM:
+            raise ValueError(f"k must be in [1, {MAX_DIM}], got {self.k}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {self.p}")
         if self.policy not in POLICIES:
@@ -101,8 +101,7 @@ class ExperimentResult:
     stderr: float
     trials: int
     rt: float
-    histogram: dict[int, int] = field(default_factory=dict)
-    tx_counts: np.ndarray | None = None
+    tx_counts: np.ndarray
 
 
 def _mix64(z: int) -> int:
@@ -455,7 +454,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     tx = np.concatenate(parallel_map(lambda ab: block_fn(config, *ab), spans))
     mean = float(tx.mean())
     stderr = float(tx.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
-    values, counts = np.unique(tx, return_counts=True)
-    histogram = {int(v): int(c) for v, c in zip(values, counts)}
     return ExperimentResult(mean_tx=mean, stderr=stderr, trials=config.trials,
-                            rt=mean / config.k, histogram=histogram, tx_counts=tx)
+                            rt=mean / config.k, tx_counts=tx)

@@ -15,6 +15,15 @@ def rng():
     return random.Random(0xC0DE)
 
 
+def span_of_rows(rows) -> frozenset[int]:
+    """All 2^r vectors spanned by the rows, zero included, by enumeration: the
+    reference the span-mask code is checked against."""
+    span = {0}
+    for row in rows:
+        span |= {x ^ row for x in span}
+    return frozenset(span)
+
+
 def random_decoder(k: int, rank: int, rng: random.Random) -> ClientDecoder:
     """Decoder with exactly the requested rank, from random inserts."""
     dec = ClientDecoder(k)

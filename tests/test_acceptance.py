@@ -9,6 +9,8 @@ import random
 from xorcast import bounds, cli, markov, policy, sim
 from xorcast.gf2 import ClientDecoder
 
+from conftest import span_of_rows
+
 GRID = [round(0.05 * i, 2) for i in range(1, 19)]  # 0.05 .. 0.90
 
 
@@ -145,7 +147,7 @@ def test_criterion_07_lemma_guarantee_random_instances():
                 decoders.append(dec)
             state = policy.NetworkState(k, tuple(decoders))
             w = policy.lemma1_construct(state)
-            assert all(not c.contains(w) for c in state.clients)
+            assert all(w.bits not in span_of_rows(c.basis) for c in state.clients)
             checked += 1
     report(7, checked == 60_000,
            f"{checked} random (k-1,k-1,k-2) instances all admit an all-client codeword")
@@ -155,7 +157,7 @@ def test_criterion_08_counterexample_coverage():
     bad = []
     for k in range(2, 11):
         state = policy.lemma1_counterexample(k)
-        spans = [c.span() for c in state.clients]
+        spans = [span_of_rows(c.basis) for c in state.clients]
         best = max(sum(1 for sp in spans if w not in sp) for w in range(1, 1 << k))
         if best != 2 or state.ranks() != (k - 1,) * 3:
             bad.append(f"k={k}: coverage={best}")

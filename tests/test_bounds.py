@@ -4,26 +4,22 @@ from scipy.stats import binom
 from xorcast import bounds, sim
 from xorcast.bounds import (
     BoundQuery,
-    d1,
-    d2,
     expected_delta,
     expected_ell,
     mds_expected,
     p_delta,
     retransmission_ratio,
-    span_cardinality,
 )
 
 
-class TestSpanCardinality:
-    def test_values(self):
-        assert span_cardinality(0) == 0
-        assert span_cardinality(3) == 7
-        assert span_cardinality(10) == 1023
+def d1(m, q):
+    """P[one client holds at least k receptions after m transmissions]."""
+    return bounds._binom_tail(m, q.k, q.s, q.p)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            span_cardinality(-1)
+
+def d2(m, q):
+    """P[one client holds at least k+1 receptions after m transmissions]."""
+    return bounds._binom_tail(m, q.k + 1, q.s, q.p)
 
 
 class TestPDelta:
@@ -124,10 +120,6 @@ class TestBinomialTails:
         assert d1(10_000, BoundQuery(k=5, p=0.9)) == pytest.approx(1.0, abs=1e-12)
         deep = d1(40, BoundQuery(k=30, p=0.9))
         assert deep == pytest.approx(binom.sf(29, 40, 0.1), rel=1e-10)
-
-    def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            d1(-1, BoundQuery(k=2, p=0.5))
 
     def test_far_upper_tail_stops_early(self):
         # j0 = 63 lies far above the mean m*s = 50, so the terms fall geometrically
@@ -267,7 +259,7 @@ def test_survival_series_guard(monkeypatch):
 
 
 def _per_m_series(q, completion):
-    # the direct method: every tail recomputed from the public d1/d2
+    # the direct method: every tail recomputed by _binom_tail
     return bounds._survival_series(q, lambda m: 1.0 - completion(d1(m, q), d2(m, q)))
 
 

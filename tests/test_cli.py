@@ -246,6 +246,13 @@ class TestFigure:
         assert run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "0.5,0.2")[0] == 1
         assert run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "0.5,1.5")[0] == 1
 
+    def test_fig2_rejects_p_grid(self, capsys):
+        # fig2 sweeps k at two fixed loss probabilities; a grid it would ignore is refused
+        code, out, err = run_cli(capsys, "figure", "--which", "fig2", "--p-grid", "0.1",
+                                 "--trials", "10", "--k-max", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "0.25, 0.5" in err
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "f.csv"
         code, _, err = run_cli(capsys, "figure", "--which", "fig1c",

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from xorcast.gf2 import ClientDecoder, span_mask, span_of_rows
+from xorcast.gf2 import ClientDecoder, span_mask
 from xorcast.policy import (
     AllClientsSatisfiedError,
     NetworkState,
@@ -16,7 +16,7 @@ from xorcast.policy import (
     sufficient_by_counting,
 )
 
-from conftest import random_decoder, random_state
+from conftest import random_decoder, random_state, span_of_rows
 
 
 def state_from_vectors(k, *clients):
@@ -25,7 +25,7 @@ def state_from_vectors(k, *clients):
 
 def brute_best_coverage(state):
     """Independent scan: best number of unsatisfied clients a codeword can cover."""
-    spans = [state.clients[i].span() for i in state.unsatisfied()]
+    spans = [span_of_rows(state.clients[i].basis) for i in state.unsatisfied()]
     return max(sum(1 for sp in spans if w not in sp) for w in range(1, 1 << state.k))
 
 
@@ -49,8 +49,7 @@ def all_subspaces(k):
     seen = set()
     for n in range(0, k + 1):
         for combo in itertools.combinations(range(1, 1 << k), n):
-            span = frozenset(span_of_rows(combo))
-            seen.add(span)
+            seen.add(span_of_rows(combo))
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
@@ -152,7 +151,7 @@ class TestScanSpans:
             decoders = [random_decoder(k, rng.randrange(0, k + 1), rng)
                         for _ in range(rng.randrange(1, 4))]
             masks = [span_mask(d.basis, k) for d in decoders]
-            sets = [d.span() for d in decoders]
+            sets = [span_of_rows(d.basis) for d in decoders]
             got = _scan_spans(masks, k, tie_break, random.Random(case))
             want = exhaustive_scan(sets, k, tie_break, random.Random(case))
             assert got == want, (k, [d.basis for d in decoders])
@@ -218,7 +217,7 @@ class TestLemma1Construct:
     def test_k3_example(self):
         st = state_from_vectors(3, [1, 2], [2, 4], [7])
         w = lemma1_construct(st)
-        assert all(not c.contains(w) for c in st.clients)
+        assert all(w.bits not in span_of_rows(c.basis) for c in st.clients)
 
     def test_worked_k4_instance(self):
         # the instance documented in the docstring
@@ -227,7 +226,7 @@ class TestLemma1Construct:
                                 [0b1111, 0b1010])
         w = lemma1_construct(st)
         assert w.bits == 0b1001
-        assert all(not c.contains(w) for c in st.clients)
+        assert all(w.bits not in span_of_rows(c.basis) for c in st.clients)
 
     def test_random_k6_profile(self, rng):
         for _ in range(300):
@@ -235,7 +234,7 @@ class TestLemma1Construct:
             rng.shuffle(ranks)
             st = random_state(6, ranks, rng)
             w = lemma1_construct(st)
-            assert all(not c.contains(w) for c in st.clients)
+            assert all(w.bits not in span_of_rows(c.basis) for c in st.clients)
 
     def test_rank_profile_rejected(self, rng):
         st = random_state(3, [2, 2, 2], rng)
@@ -251,7 +250,7 @@ class TestLemma1Counterexample:
     def test_max_coverage_exactly_two(self, k):
         st = lemma1_counterexample(k)
         assert st.ranks() == (k - 1,) * 3
-        spans = [c.span() for c in st.clients]
+        spans = [span_of_rows(c.basis) for c in st.clients]
         best = max(sum(1 for sp in spans if w not in sp) for w in range(1, 1 << k))
         assert best == 2
 
@@ -291,7 +290,7 @@ class TestDistinctDependentCount:
             st = random_state(k, [rng.randrange(0, k + 1) for _ in range(3)], rng)
             direct = set()
             for i in st.unsatisfied():
-                direct |= {w for w in range(1, 1 << k) if st.clients[i].contains(w)}
+                direct |= span_of_rows(st.clients[i].basis) - {0}
             assert distinct_dependent_count(st) == len(direct)
 
 
