@@ -201,7 +201,7 @@ def cmd_figure(args, out) -> int:
     if args.which == "fig2" and args.p_grid is not None:
         raise UsageError(f"fig2 runs at the fixed loss probabilities p in {FIG2_P} "
                          "and takes no --p-grid")
-    p_grid = _parse_p_grid(args.p_grid) if args.p_grid else None
+    p_grid = _parse_p_grid(args.p_grid) if args.p_grid is not None else None
     spec = FigureSpec.build(args.which, p_grid)
     rows = figure_rows(spec, args.trials, args.seed, k_max)
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (sim.TransmissionCapError, bounds.SeriesLimitError) as exc:
+    except sim.TransmissionCapError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (markov.SolverError, CoverageSearchError) as exc:

@@ -58,10 +58,16 @@ _MASK_STATE_BYTES = 1 << 20
 
 
 class TransmissionCapError(RuntimeError):
-    """A trial exceeded max_tx_per_trial; signals a pathological configuration."""
+    """A run cannot finish within max_tx_per_trial; signals a pathological configuration.
 
-    def __init__(self, trial_index: int, cap: int):
-        super().__init__(f"trial {trial_index} exceeded the {cap}-transmission cap")
+    Every policy needs k receptions at each client, so its mean is at least the
+    ideal-code mean k/(1-p). run_experiment refuses a run whose k/(1-p) is above
+    the cap before any trial runs, and reports trial 0; otherwise trial_index is
+    the lowest trial that ran into the cap.
+    """
+
+    def __init__(self, trial_index: int, cap: int, why: str = ""):
+        super().__init__(why or f"trial {trial_index} exceeded the {cap}-transmission cap")
         self.trial_index = trial_index
 
 
@@ -435,6 +441,10 @@ def parallel_map(fn, items: list) -> list:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials; bit-identical for a given config regardless of threading."""
+    cap, mean = config.max_tx_per_trial, config.k / (1.0 - config.p)
+    if mean > cap:
+        raise TransmissionCapError(0, cap, f"the ideal-code mean k/(1-p) = {mean:.6g} "
+                                           f"transmissions is above the {cap}-transmission cap")
     if config.policy in ("mds", "bound"):
         block_fn = _counts_block
     elif config.policy == "rl":

@@ -1,7 +1,11 @@
+from fractions import Fraction
+from itertools import islice, product
+
+import numpy as np
 import pytest
 from scipy.stats import binom
 
-from xorcast import bounds, sim
+from xorcast import bounds, markov, sim
 from xorcast.bounds import (
     BoundQuery,
     expected_delta,
@@ -14,12 +18,38 @@ from xorcast.bounds import (
 
 def d1(m, q):
     """P[one client holds at least k receptions after m transmissions]."""
-    return bounds._binom_tail(m, q.k, q.s, q.p)
+    return binom.sf(q.k - 1, m, q.s)
 
 
 def d2(m, q):
     """P[one client holds at least k+1 receptions after m transmissions]."""
-    return bounds._binom_tail(m, q.k + 1, q.s, q.p)
+    return binom.sf(q.k, m, q.s)
+
+
+def walked(m, q):
+    """(L_k(m), L_{k+1}(m)), L_j(m) = P[Bin(m, s) < j], from the series' forward walk."""
+    return next(islice(bounds._lower_tails(q.k, q.s, q.p), m, None))
+
+
+def exact_reception_mean(targets, p):
+    """The reception-count recurrence in exact arithmetic, one state at a time.
+
+    mu(j) = (1 + sum_S a_S mu(j + e_S)) / sum_S a_S over the nonempty sets S of
+    clients still short of their target, a_S = s^|S| p^(|U| - |S|).
+    """
+    p = Fraction(p)
+    s = 1 - p
+    mu = {}
+    for j in sorted(product(*(range(t + 1) for t in targets)), key=sum, reverse=True):
+        short = [c for c in range(3) if j[c] < targets[c]]
+        num, den = Fraction(1), Fraction(0)
+        for r in range(1, 1 << len(short)):
+            hit = [c for i, c in enumerate(short) if r >> i & 1]
+            a = s ** len(hit) * p ** (len(short) - len(hit))
+            num += a * mu[tuple(x + (c in hit) for c, x in enumerate(j))]
+            den += a
+        mu[j] = num / den if short else Fraction(0)
+    return mu[(0, 0, 0)]
 
 
 class TestPDelta:
@@ -77,34 +107,31 @@ class TestExpectedDelta:
 
 
 class TestBinomialTails:
+    # the lower tails the series walks, against their definition and scipy
     def test_examples_k2_p05(self):
         q = BoundQuery(k=2, p=0.5)
-        assert d1(2, q) == pytest.approx(0.25)
-        assert d1(3, q) == pytest.approx(0.5)
-        assert d2(3, q) == pytest.approx(0.125)
-        assert d2(2, q) == 0.0
+        assert walked(2, q) == (0.75, 1.0)
+        assert walked(3, q) == (0.5, 0.875)
 
     def test_below_k_is_zero(self):
         q = BoundQuery(k=4, p=0.3)
-        assert d1(3, q) == 0.0
-        assert d2(4, q) == 0.0
+        assert walked(3, q) == (1.0, 1.0)
+        assert walked(4, q)[1] == 1.0
 
     def test_lossless(self):
         q = BoundQuery(k=5, p=0.0)
-        assert d1(5, q) == 1.0
-        assert d2(5, q) == 0.0
-        assert d2(6, q) == 1.0
+        assert walked(5, q) == (0.0, 1.0)
+        assert walked(6, q) == (0.0, 0.0)
 
     def test_monotone_and_ordered(self):
         q = BoundQuery(k=3, p=0.4)
-        prev1 = prev2 = 0.0
-        for m in range(0, 60):
-            v1, v2 = d1(m, q), d2(m, q)
-            assert v1 >= prev1 - 1e-15
-            assert v2 >= prev2 - 1e-15
-            assert v2 <= v1 + 1e-15
-            prev1, prev2 = v1, v2
-        assert prev1 > 1 - 1e-9 and prev2 > 1 - 1e-9
+        prev1 = prev2 = 1.0
+        for low1, low2 in islice(bounds._lower_tails(q.k, q.s, q.p), 60):
+            assert low1 <= prev1 + 1e-15
+            assert low2 <= prev2 + 1e-15
+            assert low1 <= low2 + 1e-15
+            prev1, prev2 = low1, low2
+        assert prev1 < 1e-9 and prev2 < 1e-9
 
     def test_against_scipy(self, rng):
         for _ in range(500):
@@ -112,21 +139,16 @@ class TestBinomialTails:
             k = rng.randrange(1, 30)
             p = rng.random() * 0.95
             q = BoundQuery(k=k, p=p)
-            assert d1(m, q) == pytest.approx(binom.sf(k - 1, m, 1 - p), abs=1e-11)
-            assert d2(m, q) == pytest.approx(binom.sf(k, m, 1 - p), abs=1e-11)
+            low1, low2 = walked(m, q)
+            assert low1 == pytest.approx(1.0 - d1(m, q), abs=1e-11)
+            assert low2 == pytest.approx(1.0 - d2(m, q), abs=1e-11)
 
     def test_large_m_stability(self):
-        assert d1(10_000, BoundQuery(k=5, p=0.5)) == 1.0
-        assert d1(10_000, BoundQuery(k=5, p=0.9)) == pytest.approx(1.0, abs=1e-12)
-        deep = d1(40, BoundQuery(k=30, p=0.9))
-        assert deep == pytest.approx(binom.sf(29, 40, 0.1), rel=1e-10)
-
-    def test_far_upper_tail_stops_early(self):
-        # j0 = 63 lies far above the mean m*s = 50, so the terms fall geometrically
-        # and the sum stops once they no longer move it: summing all 10^7 terms
-        # gave this value too, in seconds
-        assert bounds._binom_tail(10**7, 63, 5e-6, 1 - 5e-6) == pytest.approx(
-            0.04239053604998377, rel=1e-15)
+        assert walked(10_000, BoundQuery(k=5, p=0.5))[0] == 0.0
+        assert walked(10_000, BoundQuery(k=5, p=0.9))[0] == pytest.approx(0.0, abs=1e-12)
+        # far below the mean each tail keeps its relative precision
+        deep = walked(400, BoundQuery(k=30, p=0.5))[0]
+        assert deep == pytest.approx(binom.cdf(29, 400, 0.5), rel=1e-10)
 
 
 class TestExpectedEll:
@@ -250,17 +272,17 @@ def test_kahan_sum_precision():
     assert acc.total == pytest.approx(1e-5, rel=1e-12)
 
 
-def test_survival_series_guard(monkeypatch):
-    # a survival probability stuck at 1 must hit the iteration guard
-    monkeypatch.setattr(bounds, "_MAX_TERMS", 1000)
-    q = BoundQuery(k=1, p=0.5)
-    with pytest.raises(RuntimeError):
-        bounds._survival_series(q, lambda m: 1.0)
-
-
 def _per_m_series(q, completion):
-    # the direct method: every tail recomputed by _binom_tail
-    return bounds._survival_series(q, lambda m: 1.0 - completion(d1(m, q), d2(m, q)))
+    # the direct method: every tail taken from scipy, 4096 values of m at a time
+    blocks = {}
+
+    def survival(m):
+        if m >> 12 not in blocks:
+            ms = np.arange(m >> 12 << 12, (m >> 12) + 1 << 12)
+            blocks[m >> 12] = 1.0 - completion(d1(ms, q), d2(ms, q))
+        return blocks[m >> 12][m & 4095]
+
+    return bounds._survival_series(q.k, survival)
 
 
 @pytest.mark.parametrize("k, p", [(k, p) for k in (1, 2, 3, 8, 32)
@@ -289,9 +311,9 @@ def test_pinned_values_k32_p0995():
 
 
 def test_converges_where_a_full_walk_stalls():
-    # a plain running sum of T(m) for every m drifts near 1 by up to M ulps,
-    # holds 1 - T above the truncation tolerance and ran this series to the
-    # term cap; the value is an extended-precision sum rounded to 6 decimals
+    # a plain running sum of T(m) for every m drifts near 1 by up to M ulps and
+    # holds 1 - T above the truncation tolerance; the value is an
+    # extended-precision sum rounded to 6 decimals, which the chain reproduces
     assert mds_expected(BoundQuery(k=63, p=0.9999)) == pytest.approx(697952.993607, abs=1e-6)
 
 
@@ -301,20 +323,9 @@ def test_pinned_values_k63_p0999():
     assert mds_expected(q) == pytest.approx(69792.240487, abs=1e-6)
 
 
-@pytest.mark.parametrize("series", [expected_ell, mds_expected])
-def test_series_terms_never_call_binom_tail(monkeypatch, series):
-    # the tails come from one forward recurrence; only the up-front cap check
-    # may evaluate a binomial tail directly
-    calls = []
-    tail = bounds._binom_tail
-    monkeypatch.setattr(bounds, "_binom_tail", lambda *a: calls.append(a) or tail(*a))
-    series(BoundQuery(k=32, p=0.99))
-    assert len(calls) <= 1
-
-
 def test_series_additions_stay_linear(monkeypatch):
-    # deterministic operation count: the per-m tail sums made 15.96 M
-    # additions here, the forward walk about 0.6 M
+    # deterministic operation count: one addition per term, about 880 per series
+    # here; summing each m's binomial tails afresh would make k = 32 times as many
     calls = [0]
     add = bounds._KahanSum.add
 
@@ -323,50 +334,41 @@ def test_series_additions_stay_linear(monkeypatch):
         add(self, x)
 
     monkeypatch.setattr(bounds._KahanSum, "add", counting_add)
-    q = BoundQuery(k=32, p=0.99)
+    q = BoundQuery(k=32, p=0.9)
     expected_ell(q)
     mds_expected(q)
-    assert calls[0] < 1_000_000
+    assert 0 < calls[0] < 4_000
 
 
-@pytest.fixture
-def walked(monkeypatch):
-    """Every (L_k, L_{k+1}) pair the series walk yields, in order."""
-    seen = []
-    walk = bounds._lower_tails
-
-    def recording_walk(*args):
-        for tails in walk(*args):
-            seen.append(tails)
-            yield tails
-
-    monkeypatch.setattr(bounds, "_lower_tails", recording_walk)
-    return seen
-
-
-def test_series_term_limit_raised_up_front(walked):
-    # the summand never rises with m and is still above the truncation
-    # tolerance at m = _MAX_TERMS, so each series must raise before it walks
-    # its tails to a single term
-    for k, p in [(2, 0.999999), (63, 0.99999), (63, 0.999995)]:
-        for series in (expected_ell, mds_expected):
-            with pytest.raises(bounds.SeriesLimitError):
-                series(BoundQuery(k=k, p=p))
-            assert not walked, (k, p, series.__name__)
+@pytest.mark.parametrize("k, p", [(1, 0.5), (2, 0.5), (2, 0.999999), (3, 0.25), (5, 0.9),
+                                  (5, 0.999), (8, 0.5), (8, 0.999)])
+def test_reception_chain_matches_exact_recurrence(k, p):
+    # the float chain against the same recurrence in exact arithmetic at the
+    # float's own rational value: within 1e-15, plus half an ulp per level on
+    # the longer chains; the series' truncation leaves about 1e-13
+    q = BoundQuery(k=k, p=p)
+    for extra, series in ((1, expected_ell), (0, mds_expected)):
+        targets = (k, k, k + extra)
+        exact = exact_reception_mean(targets, p)
+        chain = bounds._reception_chain(targets, p)
+        assert abs(Fraction(chain) - exact) <= exact * Fraction(max(1e-15, sum(targets) * 2**-53))
+        if k / q.s <= bounds._CHAIN_CROSSOVER * (k + 1) * (k + 2):
+            assert abs(Fraction(series(q)) - exact) <= exact * Fraction(1, 10**12)
 
 
-@pytest.mark.parametrize("series", [expected_ell, mds_expected])
-def test_series_term_limit_is_exact(monkeypatch, walked, series):
-    # the up-front test raises for exactly the caps below the stopping term
-    q = BoundQuery(k=3, p=0.7)
-    series(q)
-    stop = len(walked) - 2  # the walk also yields the term after the stop
-    for cap in range(q.k + 1, stop + 4):
-        monkeypatch.setattr(bounds, "_MAX_TERMS", cap)
-        walked.clear()
-        if cap < stop:
-            with pytest.raises(bounds.SeriesLimitError):
-                series(q)
-            assert not walked, cap
-        else:
-            series(q)
+def test_exact_rationals_k2_p_half():
+    assert exact_reception_mean((2, 2, 3), Fraction(1, 2)) == Fraction(3084454, 453789)
+    assert exact_reception_mean((2, 2, 2), Fraction(1, 2)) == Fraction(123100, 21609)
+
+
+RATIONAL_P = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
+
+
+@pytest.mark.parametrize("k, grid", [(2, RATIONAL_P), (3, RATIONAL_P), (4, RATIONAL_P[1:3])])
+def test_ell_bounds_exact_greedy(k, grid):
+    # E[l] is an upper bound on greedy: exact on both sides, hand chains at
+    # k = 2, 3 and the joint-state chain at k = 4
+    for p in grid:
+        greedy = (markov.expected_absorption_time(markov.build_chain(k), p) if k <= 3
+                  else markov.absorption_time_fine(markov.build_fine_chain(k), p))
+        assert exact_reception_mean((k, k, k + 1), p) >= greedy, p

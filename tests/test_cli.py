@@ -88,10 +88,14 @@ class TestBound:
         assert "k must be in [2, 63], got 64" in err
         assert "single-packet" not in err
 
-    def test_series_term_limit_is_runtime_error(self, capsys):
-        code, _, err = run_cli(capsys, "bound", "--k", "2", "--p", "0.999999")
-        assert code == 2
-        assert err.startswith("runtime error:") and "Traceback" not in err
+    def test_near_p1_answered_by_the_chain(self, capsys):
+        # the series would need over 10^7 terms here; the reception-count chain does not
+        code, out, _ = run_cli(capsys, "bound", "--k", "63", "--p", "0.99999", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["e_ell"] == pytest.approx(7016489.426919, abs=1e-6)
+        assert data["mds"] == pytest.approx(6979560.517315, abs=1e-6)
+        assert run_cli(capsys, "bound", "--k", "2", "--p", "0.999999")[0] == 0
 
 
 class TestSimulate:
@@ -123,6 +127,11 @@ class TestSimulate:
                                "--max-tx", "2")
         assert code == 2
         assert "cap" in err
+        # k/(1-p) = 2e6 is above the default 10^6 cap, so no trial runs
+        code, out, err = run_cli(capsys, "simulate", "--policy", "rl", "--k", "2",
+                                 "--p", "0.999999")
+        assert code == 2 and out == ""
+        assert err.startswith("runtime error: the ideal-code mean") and "Traceback" not in err
 
     def test_bad_policy(self, capsys):
         assert run_cli(capsys, "simulate", "--policy", "magic", "--k", "2",
@@ -245,6 +254,8 @@ class TestFigure:
     def test_bad_p_grid(self, capsys):
         assert run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "0.5,0.2")[0] == 1
         assert run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "0.5,1.5")[0] == 1
+        code, out, err = run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "")
+        assert code == 1 and out == "" and "empty p-grid" in err
 
     def test_fig2_rejects_p_grid(self, capsys):
         # fig2 sweeps k at two fixed loss probabilities; a grid it would ignore is refused
@@ -261,9 +272,11 @@ class TestFigure:
         assert "cannot write" in err
 
     def test_series_term_limit_is_runtime_error(self, capsys):
+        # rl_sim's ideal-code mean 2e6 is above the transmission cap: refused up front
         code, _, err = run_cli(capsys, "figure", "--which", "fig1a", "--p-grid", "0.999999")
         assert code == 2
         assert err.startswith("runtime error:") and "Traceback" not in err
+        assert "ideal-code mean" in err
 
 
 class TestFigureSpec:

@@ -215,6 +215,15 @@ class TestRunExperiment:
             run_experiment(capped)
         assert err.value.trial_index == over[0]
 
+    def test_cap_below_ideal_mean_refused_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(sim, "_drive", lambda *args: pytest.fail("a trial ran"))
+        for policy in sim.POLICIES:
+            cfg = ExperimentConfig(k=4, p=0.5, policy=policy, trials=10, master_seed=1,
+                                   max_tx_per_trial=7)
+            with pytest.raises(TransmissionCapError, match="ideal-code mean") as err:
+                run_experiment(cfg)
+            assert err.value.trial_index == 0
+
     def test_histogram_totals(self):
         cfg = ExperimentConfig(k=2, p=0.5, policy="mds", trials=5000, master_seed=12)
         hist = np.bincount(run_experiment(cfg).tx_counts)
