@@ -52,6 +52,12 @@ def _check_p(p: float) -> float:
     return p + 0.0  # -0.0 becomes 0.0
 
 
+def _p_text(p: float) -> str:
+    """p as %g where that reads back as p, else all of its digits."""
+    text = f"{p:g}"
+    return text if float(text) == p else repr(p)
+
+
 def _parse_p_grid(text: str) -> list[float]:
     """Parse a comma-separated grid; FigureSpec checks its values and order."""
     try:
@@ -86,7 +92,7 @@ def cmd_exact(args, out) -> int:
         fine = markov.absorption_time_fine(markov.build_fine_chain(k), p)
         payload["fine"], payload["diff"] = fine, abs(e_tx - fine)
         lines.update(fine=fine, diff=f"{payload['diff']:.6e}")
-    return _report(args, out, payload, f"k={k} p={p:g}", lines)
+    return _report(args, out, payload, f"k={k} p={_p_text(p)}", lines)
 
 
 def cmd_bound(args, out) -> int:
@@ -101,7 +107,7 @@ def cmd_bound(args, out) -> int:
     payload = {"command": "bound", "k": k, "p": p, "e_ell": ell, "e_delta": delta,
                "mds": mds, "rt_ell": rt_ell, "rt_mds": rt_mds,
                "rt_gap": rt_ell - rt_mds}
-    return _report(args, out, payload, f"k={k} p={p:g}", {
+    return _report(args, out, payload, f"k={k} p={_p_text(p)}", {
         "E[l]": ell, "E[delta]": delta, "MDS": mds, "R_t upper": rt_ell,
         "R_t mds": rt_mds, "R_t gap": payload["rt_gap"]})
 
@@ -123,7 +129,7 @@ def cmd_simulate(args, out) -> int:
     payload = {"command": "simulate", "policy": args.policy, "k": k, "p": p,
                "trials": args.trials, "seed": args.seed,
                "mean": result.mean_tx, "stderr": result.stderr, "rt": result.rt}
-    header = f"policy={args.policy} k={k} p={p:g} trials={args.trials} seed={args.seed}"
+    header = f"policy={args.policy} k={k} p={_p_text(p)} trials={args.trials} seed={args.seed}"
     return _report(args, out, payload, header,
                    {"mean": result.mean_tx, "stderr": result.stderr, "R_t": result.rt})
 
@@ -212,7 +218,7 @@ def cmd_figure(args, out) -> int:
         ]) + "\n"
     else:
         text = "figure,k,p,metric,value\n" + "".join(
-            f"{f},{k},{p:g},{m},{v:.6f}\n" for f, k, p, m, v in rows)
+            f"{f},{k},{_p_text(p)},{m},{v:.6f}\n" for f, k, p, m, v in rows)
 
     if args.out:
         try:

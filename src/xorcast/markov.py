@@ -10,9 +10,9 @@ states under greedy, closed as integer codes of gf2.subspace_table index triples
 
 Both chains keep sparse rows {j: entry}, and every off-diagonal transition goes
 to a higher index (it strictly raises total rank), so (I - Q) mu = 1 is
-triangular and one reverse pass mu_i = (1 + sum_{j>i} a_ij mu_j) / (1 - a_ii)
-solves it. The pass runs in the arithmetic of p, so a fractions.Fraction p
-gives the exact rational expectation:
+triangular and one reverse pass mu_i = (1 + sum_{j>i} a_ij mu_j) / sum_{j>i} a_ij
+solves it (1 - a_ii would cancel near p = 1). The pass runs in the arithmetic of
+p, so a fractions.Fraction p gives the exact rational expectation:
 
     expected_absorption_time(build_chain(2), Fraction(1, 2)) == Fraction(17620, 3087)
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, fsum
 
 from .gf2 import subspace_table
 from .policy import _scan_spans
@@ -254,21 +254,21 @@ def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
     for i in range(chain.n_states - 1, -1, -1):
         if i == chain.absorbing_index:
             continue
-        stay, off = 0 * p, 0 * p
+        exits, off = [], 0 * p
         for j, entry in chain.transitions[i].items():
             if j < i:
                 raise SolverError(f"transition {i} -> {j} goes to a lower index")
             value = values.get(id(entry))
             if value is None:
                 value = values[id(entry)] = entry.evaluate(p)
-            if j == i:
-                stay = value
-            else:
+            if j != i:
+                exits.append(value)
                 off += value * mu[j]
-        if stay == 1:
+        leave = (fsum if isinstance(p, float) else sum)(exits)  # a Fraction stays exact
+        if leave == 0:
             raise SolverError(f"transient state {i} never leaves itself")
-        mu[i] = (1 + off) / (1 - stay)
-        residual = abs(mu[i] - stay * mu[i] - off - 1)
+        mu[i] = (1 + off) / leave
+        residual = abs(leave * mu[i] - off - 1)
         if not residual <= RESIDUAL_TOL:
             raise SolverError(f"absorption solve residual {float(residual):.3e} in row {i}")
     return mu[0]

@@ -9,11 +9,11 @@ redraws a zero vector on channels 4, 5, ...); reception draws never depend
 on the policy, which gives common random numbers for paired comparisons.
 
 run_trial is the scalar reference. The vector engines are step functions on
-one trial driver, _drive, which hashes, checks the transmission cap and
-compacts finished trials for all of them: counts for mds and bound, the
-joint-state table for greedy (k <= 4) and the three clients' span masks
-above that (k <= 15), a subspace table for rl (k <= 4) and one stacked array
-of the three clients' fully reduced bases for rl above that.
+one trial driver, _drive, which hashes, checks the transmission cap, compacts
+finished trials and bounds the memory of engine state for all of them: counts
+for mds and bound, the joint-state table for greedy (k <= 4) and the three
+clients' span masks above that (k <= 15), a subspace table for rl (k <= 4) and
+one stacked array of the three clients' fully reduced bases for rl above that.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ _GAMMA_CHANNEL = 0x165667B19E3779F9
 POLICIES = ("greedy", "rl", "mds", "bound")
 
 _BLOCK = 1 << 15
-# rl bases update at most this many (trial, client) pairs at a time and _drive
-# compacts 2-D state this many trials at a time, so gathered rows stay near 0.5
-# and 1.5 MB (k = 32) instead of growing with the block
-_PICK_ROWS = 1 << 12
+# _drive holds at most this many bytes of engine state at a time (or one trial's),
+# so memory does not grow with the block: 1-D engines hold at most 24 B a trial and
+# run a whole block at once, span masks and rl bases run in sub-blocks
+_STATE_BYTES = 1 << 20
 
 CHANNEL_POLICY = 3
 
@@ -54,7 +54,6 @@ _TABLE_DIM_LIMIT = markov.MAX_FINE_DIM
 # Span masks cost O(2^k) a step, as run_trial's do: above this k run_trial is the
 # faster at p = 0.25 and 0.5, and greedy runs it once per trial.
 _MASK_DIM_LIMIT = 15
-_MASK_STATE_BYTES = 1 << 20
 
 
 class TransmissionCapError(RuntimeError):
@@ -219,40 +218,36 @@ def _rl_vectors(tx_base: np.ndarray, config: ExperimentConfig, dtype) -> np.ndar
     return w.astype(dtype, copy=False)
 
 
-def _drive(config: ExperimentConfig, lo: int, hi: int, state: list, step) -> np.ndarray:
+def _drive(config: ExperimentConfig, lo: int, hi: int, make_state, step) -> np.ndarray:
     """Run trials lo..hi-1 to completion; returns their transmission counts.
 
-    state holds arrays whose first axis is the trial. Each transmission,
-    step(h, recv, state) advances every unfinished trial in place, given the
-    transmission hashes h and the three per-client reception masks recv, and
-    returns the mask of trials that are now done. Done trials are compacted
-    out of every array (1-D ones into a fresh copy, wider ones in place), so
+    make_state(n) returns the state of n fresh trials, arrays whose first axis
+    is the trial; the trials run in sub-blocks of _STATE_BYTES of state each,
+    as make_state(1) measures it. Each transmission, step(h, recv, state)
+    advances every unfinished trial in place, given the transmission hashes h
+    and the three per-client reception masks recv, and returns the mask of
+    trials that are now done. Done trials are compacted out of every array, so
     steps see only unfinished trials, in trial order.
     """
-    base = _trial_base_np(config.master_seed, np.arange(lo, hi, dtype=np.uint64))
-    idx = np.arange(hi - lo)
+    sub = max(1, _STATE_BYTES // sum(array.nbytes for array in make_state(1)))
     tx_out = np.zeros(hi - lo, dtype=np.int64)
     s = 1.0 - config.p
-    t = 0
-    while idx.size:
-        if t >= config.max_tx_per_trial:
-            raise TransmissionCapError(lo + int(idx[0]), config.max_tx_per_trial)
-        h = _tx_base_np(base, t)
-        recv = [_draw_np(h, c) < s for c in range(3)]
-        done = step(h, recv, state)
-        t += 1
-        if done.any():
-            tx_out[idx[done]] = t
-            keep = ~done
-            idx, base = idx[keep], base[keep]
-            for i, array in enumerate(state):  # one at a time, to bound peak memory
-                if array.ndim == 1:
-                    state[i] = array[keep]
-                else:  # in place: kept[j] >= j, so no row is overwritten before it is read
-                    kept = np.flatnonzero(keep)
-                    state[i] = array[:kept.size]
-                    for at in range(0, kept.size, _PICK_ROWS):
-                        state[i][at:at + _PICK_ROWS] = array[kept[at:at + _PICK_ROWS]]
+    for at in range(0, hi - lo, sub):
+        idx = np.arange(at, min(at + sub, hi - lo))
+        base = _trial_base_np(config.master_seed, (idx + lo).astype(np.uint64))
+        state, t = make_state(idx.size), 0
+        while idx.size:
+            if t >= config.max_tx_per_trial:
+                raise TransmissionCapError(lo + int(idx[0]), config.max_tx_per_trial)
+            h = _tx_base_np(base, t)
+            recv = [_draw_np(h, c) < s for c in range(3)]
+            done = step(h, recv, state)
+            t += 1
+            if done.any():
+                tx_out[idx[done]] = t
+                keep = ~done
+                idx, base = idx[keep], base[keep]
+                state = [array[keep] for array in state]
     return tx_out
 
 
@@ -260,15 +255,14 @@ def _counts_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     """mds / bound trials: each client needs a fixed number of receptions."""
     k = config.k
     targets = (k, k, k + 1 if config.policy == "bound" else k)
-    # need[c][i]: receptions client c of trial i still lacks
-    need = [np.full(hi - lo, target, dtype=np.int64) for target in targets]
 
-    def step(h, recv, need):
+    def step(h, recv, need):  # need[c][i]: receptions client c of trial i still lacks
         for c in range(3):
             need[c] -= recv[c]
         return (need[0] <= 0) & (need[1] <= 0) & (need[2] <= 0)
 
-    return _drive(config, lo, hi, need, step)
+    return _drive(config, lo, hi,
+                  lambda n: [np.full(n, target, dtype=np.int64) for target in targets], step)
 
 
 def _table_block(config: ExperimentConfig, lo: int, hi: int, table: np.ndarray,
@@ -284,7 +278,7 @@ def _table_block(config: ExperimentConfig, lo: int, hi: int, table: np.ndarray,
         np.take(flat, key, out=state[0])
         return state[0] == absorbing
 
-    return _drive(config, lo, hi, [np.zeros(hi - lo, dtype=np.intp)], step)
+    return _drive(config, lo, hi, lambda n: [np.zeros(n, dtype=np.intp)], step)
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +304,7 @@ def _rl_table_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
             np.take(flat, key, out=span[c])
         return (span[0] == full) & (span[1] == full) & (span[2] == full)
 
-    return _drive(config, lo, hi, [np.zeros(hi - lo, dtype=np.intp) for _ in range(3)], step)
+    return _drive(config, lo, hi, lambda n: [np.zeros(n, dtype=np.intp) for _ in range(3)], step)
 
 
 def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
@@ -330,32 +324,30 @@ def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
         basis, rank = state[0].reshape(-1, k), state[1].reshape(-1)
         w = _rl_vectors(h, config, dtype)
         pick = np.flatnonzero(np.stack(recv, axis=1) & (state[1] < k))
-        for at in range(0, pick.size, _PICK_ROWS):
-            part = pick[at:at + _PICK_ROWS]
-            wp = w[part // 3]  # pick holds flat (trial, client) pair indices
-            rows = np.take(basis, part, axis=0)
-            # bits[i, j] = bit j of wp[i]
-            bits = np.unpackbits(wp.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
-                                 count=k, bitorder="little")
-            terms = np.multiply(rows, bits, dtype=dtype)
-            reduced = np.bitwise_xor.reduce(terms, axis=1)
-            reduced ^= wp
-            # the new pivot bit, 0 where w was already in the span
-            low = reduced & (~reduced + one)
-            # clear it from the client's other rows: hit = reduced where a row has it,
-            # as (row & low) * (reduced // low), exact since low divides reduced
-            hit = np.bitwise_and(rows, low[:, None], out=terms)
-            hit *= (reduced // np.maximum(low, one))[:, None]
-            rows ^= hit
-            new = np.flatnonzero(low)
-            pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
-            rows[new, pivot] = reduced[new]
-            basis[part] = rows
-            rank[part[new]] += 1
+        wp = w[pick // 3]  # pick holds flat (trial, client) pair indices
+        rows = np.take(basis, pick, axis=0)
+        # bits[i, j] = bit j of wp[i]
+        bits = np.unpackbits(wp.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                             count=k, bitorder="little")
+        terms = np.multiply(rows, bits, dtype=dtype)
+        reduced = np.bitwise_xor.reduce(terms, axis=1)
+        reduced ^= wp
+        # the new pivot bit, 0 where w was already in the span
+        low = reduced & (~reduced + one)
+        # clear it from the client's other rows: hit = reduced where a row has it,
+        # as (row & low) * (reduced // low), exact since low divides reduced
+        hit = np.bitwise_and(rows, low[:, None], out=terms)
+        hit *= (reduced // np.maximum(low, one))[:, None]
+        rows ^= hit
+        new = np.flatnonzero(low)
+        pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
+        rows[new, pivot] = reduced[new]
+        basis[pick] = rows
+        rank[pick[new]] += 1
         return (state[1] == k).all(axis=1)
 
-    state = [np.zeros((hi - lo, 3, k), dtype=dtype), np.zeros((hi - lo, 3), dtype=np.int64)]
-    return _drive(config, lo, hi, state, step)
+    return _drive(config, lo, hi, lambda n: [np.zeros((n, 3, k), dtype=dtype),
+                                             np.zeros((n, 3), dtype=np.int64)], step)
 
 
 def _mask_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
@@ -367,8 +359,9 @@ def _mask_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     """
     k = config.k
     words = max(1, (1 << k) >> 6)
+    zero = (np.arange(words) == 0).astype(np.uint64)  # the span of no rows: bit 0
     full = np.full(words, (1 << min(1 << k, 64)) - 1, dtype=np.uint64)
-    nonzero = full ^ (np.arange(words) == 0)  # every w but 0
+    nonzero = full ^ zero  # every w but 0
 
     def step(h, recv, state):
         span, trials, word, low = state[0], np.arange(len(state[0])), 0, 0
@@ -399,13 +392,7 @@ def _mask_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
         flat[pick] |= moved
         return (span == full).all(axis=(1, 2))
 
-    # _MASK_STATE_BYTES of trials per _drive call, so memory does not grow with the block
-    sub, blocks = max(1, _MASK_STATE_BYTES // (24 * words)), []
-    for at in range(lo, hi, sub):
-        span = np.zeros((min(sub, hi - at), 3, words), dtype=np.uint64)
-        span[:, :, 0] = 1  # every span holds the zero vector
-        blocks.append(_drive(config, at, at + len(span), [span], step))
-    return np.concatenate(blocks)
+    return _drive(config, lo, hi, lambda n: [np.tile(zero, (n, 3, 1))], step)
 
 
 def _scalar_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:

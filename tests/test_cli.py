@@ -39,6 +39,13 @@ class TestExact:
         payload = dict(line.split("=", 1) for line in out.strip().splitlines()[1:])
         assert float(payload["diff"]) <= 1e-9
 
+    def test_oracle_near_p1(self, capsys):
+        code, out, _ = run_cli(capsys, "exact", "--k", "3", "--p", "0.99999999",
+                               "--oracle", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["diff"] <= 1e-15 * data["e_tx"]
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "--k", "2", "--p", "0.25", "--json")
         assert code == 0
@@ -169,6 +176,22 @@ class TestFigure:
         # a negative zero is the same grid point, written as 0
         assert run_cli(capsys, "figure", "--which", "fig1c",
                        "--p-grid=-0.0,0.25,0.5")[1] == out
+
+    def test_fig1c_near_p1(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "0.99999999")
+        assert code == 0
+        assert [line.split(",")[:3] for line in out.strip().splitlines()[1:]] == [
+            ["fig1c", "2", "0.99999999"], ["fig1c", "3", "0.99999999"]]
+
+    def test_distinct_p_print_distinct(self, capsys):
+        # %g keeps six digits: p that it would merge print all of their digits
+        out = run_cli(capsys, "figure", "--which", "fig1c",
+                      "--p-grid", "0.1234567,0.1234568")[1]
+        keys = [tuple(line.split(",")[:3]) for line in out.strip().splitlines()[1:]]
+        assert len(set(keys)) == len(keys) == 4
+        assert ("fig1c", "2", "0.1234567") in keys
+        assert run_cli(capsys, "exact", "--k", "2", "--p", "0.99999999")[1].startswith(
+            "k=2 p=0.99999999\n")
 
     def test_fig1c_values_finite_nonnegative(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "--which", "fig1c")

@@ -256,6 +256,17 @@ class TestExactSolver:
         assert expected_absorption_time(build_chain(k), Fraction(1, 2)) == EXACT_P05[k]
         assert absorption_time_fine(build_fine_chain(k), Fraction(1, 2)) == EXACT_P05[k]
 
+    # near p = 1 the float solve holds its digits: it matches the rational solve
+    # at the float's own value to 1e-15, where 1 - a_ii once lost 1e-11 to 1e-10
+    @pytest.mark.parametrize("k, p, fine", [
+        (k, p, fine) for k in (2, 3) for p in (0.9, 0.9999, 0.999999) for fine in (False, True)
+    ] + [(4, 0.999, True)])
+    def test_float_solve_matches_exact_near_p1(self, k, p, fine):
+        solve, chain = ((absorption_time_fine, build_fine_chain(k)) if fine
+                        else (expected_absorption_time, build_chain(k)))
+        exact = solve(chain, Fraction(p))
+        assert abs(Fraction(solve(chain, p)) - exact) <= exact * Fraction(1e-15)
+
     def test_backward_edge_raises(self):
         chain = _spec([{0: "p", 1: "s"}, {0: "s", 2: "p"}, {2: "1"}])
         check_conservation(chain)

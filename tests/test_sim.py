@@ -147,13 +147,14 @@ class TestRunExperiment:
         assert np.array_equal(r1.tx_counts, r2.tx_counts)
 
     def test_threading_bit_identical(self, monkeypatch):
-        # greedy table, greedy span masks, rl subspace table, rl bases and counts;
-        # every config but the first spans at least two blocks
+        # greedy table, greedy span masks, rl subspace table, rl bases (k = 32 in
+        # sub-blocks too) and counts; every config but the first spans two blocks
         configs = [
             ExperimentConfig(k=2, p=0.5, policy="greedy", trials=100_000, master_seed=5),
             ExperimentConfig(k=8, p=0.5, policy="greedy", trials=sim._BLOCK + 5000, master_seed=5),
             ExperimentConfig(k=3, p=0.5, policy="rl", trials=sim._BLOCK + 5000, master_seed=5),
             ExperimentConfig(k=8, p=0.5, policy="rl", trials=sim._BLOCK + 5000, master_seed=5),
+            ExperimentConfig(k=32, p=0.5, policy="rl", trials=sim._BLOCK + 5000, master_seed=5),
             ExperimentConfig(k=32, p=0.5, policy="mds", trials=sim._BLOCK + 5000, master_seed=5),
         ]
         for cfg in configs:
@@ -197,20 +198,24 @@ class TestRunExperiment:
                               np.array([run_trial(cfg, i) for i in range(60)]))
         assert res.mean_tx >= 5.0
 
-    def test_mask_sub_blocks(self):
-        # _mask_block runs _MASK_STATE_BYTES of span masks at a time: 682 trials at
-        # k = 12. The cap is the first sub-block's largest count, so the first trial
-        # over it lies in the second sub-block.
-        k, trials = 12, 1000
-        sub = sim._MASK_STATE_BYTES // (3 * (1 << k) // 8)
+    # _drive runs _STATE_BYTES of state at a time: 682 trials of greedy's span masks
+    # at k = 12 (3 * 2^k / 8 bytes a trial), about 2,570 of rl's bases at k = 32 (a
+    # uint32 row per bit and an int64 rank per client). The cap is the first
+    # sub-block's largest count, so the first trial over it lies in the second one.
+    @pytest.mark.parametrize("policy, k, p, trials, seed, trial_bytes", [
+        pytest.param("greedy", 12, 0.5, 1000, 2, 3 * (1 << 12) // 8, id="greedy-k12"),
+        pytest.param("rl", 32, 0.25, 2800, 7, 3 * 32 * 4 + 3 * 8, id="rl-k32"),
+    ])
+    def test_drive_sub_blocks(self, policy, k, p, trials, seed, trial_bytes):
+        sub = sim._STATE_BYTES // trial_bytes
         assert sub < trials
-        cfg = ExperimentConfig(k=k, p=0.5, policy="greedy", trials=trials, master_seed=2)
+        cfg = ExperimentConfig(k=k, p=p, policy=policy, trials=trials, master_seed=seed)
         scalar = np.array([run_trial(cfg, i) for i in range(trials)])
         assert np.array_equal(run_experiment(cfg).tx_counts, scalar)
-        capped = ExperimentConfig(k=k, p=0.5, policy="greedy", trials=trials, master_seed=2,
+        capped = ExperimentConfig(k=k, p=p, policy=policy, trials=trials, master_seed=seed,
                                   max_tx_per_trial=int(scalar[:sub].max()))
         over = np.flatnonzero(scalar > capped.max_tx_per_trial)
-        assert over.size
+        assert over.size and over[0] >= sub
         with pytest.raises(TransmissionCapError) as err:
             run_experiment(capped)
         assert err.value.trial_index == over[0]
@@ -313,33 +318,27 @@ class TestRlBasisPinned:
         digest = hashlib.sha256(tx.astype("<i8").tobytes()).hexdigest()
         assert digest == self.PINNED[k, trials, include_zero]
 
-    def test_multi_block_memory_guard(self):
-        # three uint64 basis arrays compacted into fresh copies peaked near
-        # 72 MB here, against 59.6 MB before the compacting driver; the stacked
-        # uint32 array, compacted in place, stays near 48 MB
-        (mean_tx,), peak_mb = run_measuring_peak(
-            "from xorcast import sim\n"
-            "print(sim.run_experiment(sim.ExperimentConfig(\n"
-            "    k=32, p=0.5, policy='rl', trials=sim._BLOCK + 5000, master_seed=1)).mean_tx)")
-        assert float(mean_tx) > 64
-        assert peak_mb < 60
 
-
-class TestMaskEngineMemory:
-    def test_peak_bounded_by_sub_block(self):
-        # span masks at the engine's largest k hold 3 * 2^k / 8 bytes a trial, 12 KB at
-        # k = 15, so 2,000 trials held at once would be 24 MB of state before the
-        # step's temporaries; run _MASK_STATE_BYTES (85 trials) at a time, they peak
-        # within a few MB of one sub-block. Lossless channels grow every row each
-        # step, which makes the largest temporaries, and end each trial in k steps.
+class TestDriveMemory:
+    # _drive holds _STATE_BYTES of state at a time, so many trials peak within a few
+    # MB of one sub-block. Span masks at greedy's largest mask k hold 3 * 2^k / 8
+    # bytes a trial, 12 KB at k = 15: 2,000 trials held at once would be 24 MB before
+    # the step's temporaries, and lossless channels, which grow every row each step,
+    # make the largest temporaries. rl bases at k = 32 hold 408 bytes a trial, and
+    # _BLOCK + 5000 trials peaked near 72 MB as three uint64 arrays compacted into
+    # fresh copies and near 47 MB as one uint32 array compacted in place.
+    @pytest.mark.parametrize("policy, k, p, trial_bytes, many", [
+        pytest.param("greedy", sim._MASK_DIM_LIMIT, 0.0, 3 * (1 << sim._MASK_DIM_LIMIT) // 8,
+                     2000, id="greedy-k15"),
+        pytest.param("rl", 32, 0.5, 3 * 32 * 4 + 3 * 8, sim._BLOCK + 5000, id="rl-k32"),
+    ])
+    def test_peak_bounded_by_sub_block(self, policy, k, p, trial_bytes, many):
         run = ("from xorcast import sim\n"
                "print(sim.run_experiment(sim.ExperimentConfig(\n"
-               "    k=sim._MASK_DIM_LIMIT, p=0.0, policy='greedy', trials={},\n"
-               "    master_seed=1)).mean_tx)")
-        sub = sim._MASK_STATE_BYTES // (3 * (1 << sim._MASK_DIM_LIMIT) // 8)
-        (sub_mean,), sub_mb = run_measuring_peak(run.format(sub))
-        (many_mean,), many_mb = run_measuring_peak(run.format(2000))
-        assert float(sub_mean) == float(many_mean) == sim._MASK_DIM_LIMIT
+               f"    k={k}, p={p}, policy={policy!r}, trials={{}}, master_seed=1)).mean_tx)")
+        (sub_mean,), sub_mb = run_measuring_peak(run.format(sim._STATE_BYTES // trial_bytes))
+        (many_mean,), many_mb = run_measuring_peak(run.format(many))
+        assert min(float(sub_mean), float(many_mean)) >= k / (1 - p)
         assert many_mb < sub_mb + 5
 
 
