@@ -12,10 +12,11 @@ from the lower binomial tails L_j(m) = P[Bin(m, s) < j], j = 1..k+1, walked
 forward in m by L_j(m+1) = p L_j(m) + s L_{j-1}(m) (L_0 = 0, L_j(0) = 1):
 every step adds nonnegative products, so each tail keeps its relative
 precision on both sides of the mean, at O(k) per term. It is truncated once
-its summand drops below _TAIL_EPSILON and closed with a geometric tail
-estimate; reported values are good to 6 decimal places. The series runs to
-about k/s terms, so near p = 1 the reception-count chain takes over: one
-backward pass over the (k+1)^2 (k+2) reception-count states, whatever p is.
+its summand drops below _TAIL_EPSILON, closed with a geometric tail estimate
+and summed correctly rounded by math.fsum; reported values are good to 6
+decimal places. The series runs to about k/s terms, so near p = 1 the
+reception-count chain takes over: one backward pass over the (k+1)^2 (k+2)
+reception-count states, whatever p is.
 """
 
 from __future__ import annotations
@@ -53,22 +54,6 @@ class BoundQuery:
         return 1.0 - self.p
 
 
-class _KahanSum:
-    """Compensated accumulator; keeps long tail sums at full double precision."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
 def p_delta(beta: int, p: float) -> float:
     """Probability the lagging client collects exactly beta redundant codewords.
 
@@ -98,26 +83,6 @@ def _lower_tails(k: int, s: float, p: float):
     while True:
         yield low[k - 1], low[k]
         low = [p * a + s * b for a, b in zip(low, [0.0] + low)]
-
-
-def _survival_series(k: int, survival) -> float:
-    """Sum_{m=0}^inf survival(m) with a geometric tail estimate.
-
-    survival(m), called for m = 0, 1, 2, ... in order, never rises and falls to 0.
-    """
-    acc = _KahanSum()
-    m = 0
-    while True:
-        term = survival(m)
-        if term < _TAIL_EPSILON and m > k:
-            nxt = survival(m + 1)
-            if 0.0 < nxt < term:
-                rho = nxt / term
-                acc.add(term * rho / (1.0 - rho))
-            break
-        acc.add(term)
-        m += 1
-    return acc.total
 
 
 def _reception_chain(targets: tuple[int, int, int], p: float) -> float:
@@ -155,13 +120,26 @@ def _reception_chain(targets: tuple[int, int, int], p: float) -> float:
 
 
 def _expected_max(query: BoundQuery, extra: int, survival) -> float:
-    """E[max(T_1, T_2, T_3)] for targets (k, k, k + extra): the series of
-    survival(L_k(m), L_{k+1}(m)) over m, or the chain where that is faster."""
+    """E[max(T_1, T_2, T_3)] for targets (k, k, k + extra): the fsum of
+    survival(L_k(m), L_{k+1}(m)) over m, or the chain where that is faster.
+
+    The terms never rise and fall to 0. The first one below _TAIL_EPSILON past
+    m = k ends the series, which the next term's ratio closes as a geometric tail.
+    """
     k, s, p = query.k, query.s, query.p
     if k / s > _CHAIN_CROSSOVER * (k + 1) * (k + 2):
         return _reception_chain((k, k, k + extra), p)
     tails = _lower_tails(k, s, p)
-    return _survival_series(k, lambda m: survival(*next(tails)))
+    terms = []
+    for m, (x, y) in enumerate(tails):
+        term = survival(x, y)
+        if term < _TAIL_EPSILON and m > k:
+            nxt = survival(*next(tails))
+            if 0.0 < nxt < term:
+                rho = nxt / term
+                terms.append(term * rho / (1.0 - rho))
+            return fsum(terms)
+        terms.append(term)
 
 
 def expected_ell(query: BoundQuery) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import bounds, markov, sim
 from .gf2 import MAX_DIM
@@ -59,7 +58,7 @@ def _p_text(p: float) -> str:
 
 
 def _parse_p_grid(text: str) -> list[float]:
-    """Parse a comma-separated grid; FigureSpec checks its values and order."""
+    """Parse a comma-separated grid; figure_rows checks its values and order."""
     try:
         grid = [float(x) + 0.0 for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -148,55 +147,40 @@ FIGURES = {
 }
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """One figure request: which curves, over which loss probabilities."""
-
-    figure_id: str
-    p_grid: tuple[float, ...]
-    series: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.figure_id not in FIGURES:
-            raise UsageError(f"figure must be one of {tuple(FIGURES)}, got {self.figure_id!r}")
-        for p in self.p_grid:
-            _check_p(p)
-        if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
-            raise UsageError("p-grid must be strictly increasing")
-
-    @classmethod
-    def build(cls, figure_id: str, p_grid=None) -> "FigureSpec":
-        grid = tuple(p_grid) if p_grid is not None else DEFAULT_P_GRID
-        return cls(figure_id, grid, FIGURES[figure_id][0] if figure_id in FIGURES else ())
-
-
-def _point_rows(spec: FigureSpec, k: int, p: float, trials: int,
+def _point_rows(which: str, k: int, p: float, trials: int,
                 seed: int) -> list[tuple[str, int, float, str, float]]:
+    series = FIGURES[which][0]
     values = {}
-    if "exact_xor" in spec.series or "exact_minus_mds_rt" in spec.series:
+    if "exact_xor" in series or "exact_minus_mds_rt" in series:
         values["exact_xor"] = markov.expected_absorption_time(markov.build_chain(k), p) / k
-    if "mds" in spec.series or "exact_minus_mds_rt" in spec.series:
+    if "mds" in series or "exact_minus_mds_rt" in series:
         values["mds"] = bounds.mds_expected(bounds.BoundQuery(k=k, p=p)) / k
-    if "bound_ell" in spec.series:
+    if "bound_ell" in series:
         values["bound_ell"] = bounds.expected_ell(bounds.BoundQuery(k=k, p=p)) / k
-    if "rl_sim" in spec.series:
+    if "rl_sim" in series:
         config = sim.ExperimentConfig(k=k, p=p, policy="rl", trials=trials, master_seed=seed)
         result = sim.run_experiment(config)
         values["rl_sim"], values["rl_sim_stderr"] = result.rt, result.stderr / k
-    if "exact_minus_mds_rt" in spec.series:
+    if "exact_minus_mds_rt" in series:
         values["exact_minus_mds_rt"] = values["exact_xor"] - values["mds"]
-    return [(spec.figure_id, k, p, metric, values[metric]) for metric in spec.series]
+    return [(which, k, p, metric, values[metric]) for metric in series]
 
 
-def figure_rows(spec: FigureSpec, trials: int, seed: int,
+def figure_rows(which: str, p_grid, trials: int, seed: int,
                 k_max: int) -> list[tuple[str, int, float, str, float]]:
     """Rows (figure, k, p, metric, value); all transmission metrics in R_t units.
 
     Points come from FIGURES and run on sim.parallel_map's threads, with each
     point's simulation serial inside them; sorting fixes the row order.
     """
-    points = FIGURES[spec.figure_id][1](spec.p_grid, k_max)
-    chunks = sim.parallel_map(lambda kp: _point_rows(spec, *kp, trials, seed), points)
+    if which not in FIGURES:
+        raise UsageError(f"figure must be one of {tuple(FIGURES)}, got {which!r}")
+    for p in p_grid:
+        _check_p(p)
+    if any(b <= a for a, b in zip(p_grid, p_grid[1:])):
+        raise UsageError("p-grid must be strictly increasing")
+    points = FIGURES[which][1](p_grid, k_max)
+    chunks = sim.parallel_map(lambda kp: _point_rows(which, *kp, trials, seed), points)
     return sorted(row for chunk in chunks for row in chunk)
 
 
@@ -207,9 +191,8 @@ def cmd_figure(args, out) -> int:
     if args.which == "fig2" and args.p_grid is not None:
         raise UsageError(f"fig2 runs at the fixed loss probabilities p in {FIG2_P} "
                          "and takes no --p-grid")
-    p_grid = _parse_p_grid(args.p_grid) if args.p_grid is not None else None
-    spec = FigureSpec.build(args.which, p_grid)
-    rows = figure_rows(spec, args.trials, args.seed, k_max)
+    p_grid = _parse_p_grid(args.p_grid) if args.p_grid is not None else DEFAULT_P_GRID
+    rows = figure_rows(args.which, p_grid, args.trials, args.seed, k_max)
 
     if args.json:
         text = json.dumps([

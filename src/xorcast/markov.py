@@ -331,8 +331,6 @@ def _fine_chain(k: int, tie_break: str) -> FineChain:
     if not 1 <= k <= MAX_FINE_DIM:
         raise ValueError(f"fine chain supports 1 <= k <= {MAX_FINE_DIM}, got {k}: "
                          "joint state space grows as the cube of the subspace count")
-    if tie_break not in ("smallest", "largest"):
-        raise ValueError(f"fine chain needs a deterministic tie_break, got {tie_break!r}")
 
     bases, members, nxt = subspace_table(k)
     size = len(bases)
@@ -349,7 +347,7 @@ def _fine_chain(k: int, tie_break: str) -> FineChain:
             continue
         key = tuple(sorted((a, b, c)))
         if key not in picks:
-            picks[key] = _scan_spans([members[s] for s in key if s != full], k, tie_break, None)[0]
+            picks[key] = _scan_spans([members[s] for s in key if s != full], k, tie_break)[0]
         w = picks[key]
         # digit steps of clients a, b, c, taken under reception mask bits 1, 2, 4
         da, db, dc = (nxt[a][w] - a) * square, (nxt[b][w] - b) * size, nxt[c][w] - c

@@ -9,7 +9,6 @@ the answer is the best nonempty level, and the tie-break picks a set bit.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .gf2 import ClientDecoder, CodingVector, span_mask
@@ -67,40 +66,33 @@ def _coverage_levels(nonzero, misses: list) -> list:
     return levels
 
 
-def _scan_spans(spans: list[int], k: int, tie_break: str,
-                rng: random.Random | None) -> tuple[int, int]:
+def _scan_spans(spans: list[int], k: int, tie_break: str) -> tuple[int, int]:
     """Pick the nonzero w maximizing the number of spans that miss it.
 
     spans holds only the unsatisfied clients' span masks. Returns (bits, covered).
     """
-    if tie_break == "random" and rng is None:
-        raise ValueError("random tie-break needs an rng")
-    if tie_break not in ("smallest", "largest", "random"):
+    if tie_break not in ("smallest", "largest"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     at_least = _coverage_levels((1 << (1 << k)) - 2, [~span for span in spans])
     covered = max(c for c, ties in enumerate(at_least) if ties)
     ties = at_least[covered]
     if tie_break == "smallest":
         return (ties & -ties).bit_length() - 1, covered
-    if tie_break == "largest":
-        return ties.bit_length() - 1, covered
-    return rng.choice([w for w, bit in enumerate(reversed(bin(ties)[2:])) if bit == "1"]), covered
+    return ties.bit_length() - 1, covered
 
 
-def greedy_codeword(state: NetworkState, tie_break: str = "smallest",
-                    rng: random.Random | None = None) -> tuple[CodingVector, int]:
+def greedy_codeword(state: NetworkState, tie_break: str = "smallest") -> tuple[CodingVector, int]:
     """Codeword innovative for the most unsatisfied clients, with its coverage.
 
-    Ties are broken deterministically by default: numerically smallest bit
-    pattern ("smallest", the default) or largest ("largest"). tie_break
-    "random" picks uniformly among the argmax set using rng, for checking
-    how the expected transmission count depends on the tie-break (not at
-    k=2; measurably at k=3).
+    Ties are broken by the numerically smallest bit pattern ("smallest", the
+    default) or the largest ("largest"). The expected transmission count does
+    not depend on the tie-break at k=2 and measurably does at k=3, as
+    "largest" shows.
     """
     spans = [span_mask(state.clients[i].basis, state.k) for i in state.unsatisfied()]
     if not spans:
         raise AllClientsSatisfiedError("all clients satisfied")
-    bits, covered = _scan_spans(spans, state.k, tie_break, rng)
+    bits, covered = _scan_spans(spans, state.k, tie_break)
     return CodingVector(bits, state.k), covered
 
 
@@ -143,7 +135,7 @@ def lemma1_construct(state: NetworkState) -> CodingVector:
         raise RankProfileError(
             f"rank profile {state.ranks()} is not a permutation of (k-1, k-1, k-2) for k={k}")
     spans = [span_mask(c.basis, k) for c in state.clients]
-    bits, covered = _scan_spans(spans, k, "smallest", None)
+    bits, covered = _scan_spans(spans, k, "smallest")
     if covered != N_CLIENTS:
         raise CoverageSearchError(
             f"no all-client innovative codeword at ranks {state.ranks()}, k={k}")

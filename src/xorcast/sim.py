@@ -196,7 +196,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> int:
         w = None
         if config.policy == "greedy":
             spans = [span_mask(x, k) for x, y in zip(held, done) if x != y]
-            w, _ = _scan_spans(spans, k, "smallest", None)
+            w, _ = _scan_spans(spans, k, "smallest")
         elif config.policy == "rl":
             w = _rl_vector(h, config)
         for c in range(3):

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import islice, product
+from itertools import count, islice, product
+from math import fsum
 
 import numpy as np
 import pytest
@@ -265,24 +266,17 @@ class TestBoundQuery:
         assert BoundQuery(k=2, p=0.25).s == pytest.approx(0.75)
 
 
-def test_kahan_sum_precision():
-    acc = bounds._KahanSum()
-    for _ in range(100_000):
-        acc.add(1e-10)
-    assert acc.total == pytest.approx(1e-5, rel=1e-12)
-
-
 def _per_m_series(q, completion):
-    # the direct method: every tail taken from scipy, 4096 values of m at a time
-    blocks = {}
-
-    def survival(m):
-        if m >> 12 not in blocks:
-            ms = np.arange(m >> 12 << 12, (m >> 12) + 1 << 12)
-            blocks[m >> 12] = 1.0 - completion(d1(ms, q), d2(ms, q))
-        return blocks[m >> 12][m & 4095]
-
-    return bounds._survival_series(q.k, survival)
+    # the direct method: every tail taken from scipy, 4096 values of m at a time,
+    # summed by fsum up to the first term below 1e-16 past m = k, no tail estimate
+    terms = []
+    for lo in count(0, 4096):
+        ms = np.arange(lo, lo + 4096)
+        block = 1.0 - completion(d1(ms, q), d2(ms, q))
+        stop = np.flatnonzero((block < 1e-16) & (ms > q.k))
+        if stop.size:
+            return fsum(terms + block[:stop[0]].tolist())
+        terms += block.tolist()
 
 
 @pytest.mark.parametrize("k, p", [(k, p) for k in (1, 2, 3, 8, 32)
@@ -324,20 +318,21 @@ def test_pinned_values_k63_p0999():
 
 
 def test_series_additions_stay_linear(monkeypatch):
-    # deterministic operation count: one addition per term, about 880 per series
+    # deterministic operation count: one tail step per term, about 880 per series
     # here; summing each m's binomial tails afresh would make k = 32 times as many
-    calls = [0]
-    add = bounds._KahanSum.add
+    steps = [0]
+    walk = bounds._lower_tails
 
-    def counting_add(self, x):
-        calls[0] += 1
-        add(self, x)
+    def counting_walk(k, s, p):
+        for tails in walk(k, s, p):
+            steps[0] += 1
+            yield tails
 
-    monkeypatch.setattr(bounds._KahanSum, "add", counting_add)
+    monkeypatch.setattr(bounds, "_lower_tails", counting_walk)
     q = BoundQuery(k=32, p=0.9)
     expected_ell(q)
     mds_expected(q)
-    assert 0 < calls[0] < 4_000
+    assert 0 < steps[0] < 4_000
 
 
 @pytest.mark.parametrize("k, p", [(1, 0.5), (2, 0.5), (2, 0.999999), (3, 0.25), (5, 0.9),

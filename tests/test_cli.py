@@ -302,33 +302,26 @@ class TestFigure:
         assert "ideal-code mean" in err
 
 
-class TestFigureSpec:
-    def test_defaults(self):
-        spec = cli.FigureSpec.build("fig1a")
-        assert spec.p_grid[0] == 0.0 and spec.p_grid[-1] == 0.9
-        assert len(spec.p_grid) == 19
-        assert spec.series == ("exact_xor", "mds", "rl_sim", "rl_sim_stderr")
-
+class TestFigureRows:
     def test_validation(self):
-        with pytest.raises(cli.UsageError):
-            cli.FigureSpec.build("fig9")
-        with pytest.raises(cli.UsageError):
-            cli.FigureSpec.build("fig1a", [0.5, 0.2])
-        with pytest.raises(cli.UsageError):
-            cli.FigureSpec.build("fig1a", [0.5, 1.0])
+        with pytest.raises(cli.UsageError, match="figure must be one of"):
+            cli.figure_rows("fig9", [0.1], 10, 0, 4)
+        with pytest.raises(cli.UsageError, match="strictly increasing"):
+            cli.figure_rows("fig1a", [0.5, 0.2], 10, 0, 4)
+        with pytest.raises(cli.UsageError, match="0 <= p < 1"):
+            cli.figure_rows("fig1a", [0.5, 1.0], 10, 0, 4)
 
     def test_parallel_dispatch_matches_serial(self, monkeypatch):
         # fig1a points each run a two-block rl simulation inside the point pool
         trials = sim._BLOCK + 1
         for which in ("fig1c", "fig1a"):
-            spec = cli.FigureSpec.build(which, [0.1, 0.4])
             monkeypatch.delenv("XORCAST_THREADS", raising=False)
-            serial = cli.figure_rows(spec, trials, 11, 4)
+            serial = cli.figure_rows(which, [0.1, 0.4], trials, 11, 4)
             # cold caches: the threads build the chains and tables concurrently
             markov.build_chain.cache_clear()
             sim._subspace_table.cache_clear()
             monkeypatch.setenv("XORCAST_THREADS", "6")
-            assert cli.figure_rows(spec, trials, 11, 4) == serial, which
+            assert cli.figure_rows(which, [0.1, 0.4], trials, 11, 4) == serial, which
 
     def test_point_blocks_run_on_one_thread(self, monkeypatch):
         # figure points take the threads; a point's simulation blocks do not
@@ -342,8 +335,7 @@ class TestFigureSpec:
 
         monkeypatch.setattr(sim, "_rl_table_block", traced)
         monkeypatch.setenv("XORCAST_THREADS", "2")
-        spec = cli.FigureSpec.build("fig1a", [0.1, 0.5])
-        cli.figure_rows(spec, sim._BLOCK + 1, 3, 4)
+        cli.figure_rows("fig1a", [0.1, 0.5], sim._BLOCK + 1, 3, 4)
         for p in (0.1, 0.5):
             threads = [ident for q, ident in seen if q == p]
             assert len(threads) == 2 and len(set(threads)) == 1, (p, threads)
