@@ -185,8 +185,10 @@ def figure_rows(which: str, p_grid, trials: int, seed: int,
 
 
 def cmd_figure(args, out) -> int:
-    if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
+    try:  # the trials and seed of every point's simulation
+        sim.ExperimentConfig(k=2, p=0.0, policy="rl", trials=args.trials, master_seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     k_max = _check_k(args.k_max)
     if args.which == "fig2" and args.p_grid is not None:
         raise UsageError(f"fig2 runs at the fixed loss probabilities p in {FIG2_P} "
@@ -273,7 +275,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except sim.TransmissionCapError as exc:
+    except (sim.TransmissionCapError, MemoryError) as exc:  # e.g. counts for too many trials
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (markov.SolverError, CoverageSearchError) as exc:

@@ -9,8 +9,8 @@ redraws a zero vector on channels 4, 5, ...); reception draws never depend
 on the policy, which gives common random numbers for paired comparisons.
 
 run_trial is the scalar reference. The vector engines are step functions on
-one trial driver, _drive, which hashes, checks the transmission cap, compacts
-finished trials and bounds the memory of engine state for all of them: counts
+one trial driver, _drive, which hashes, checks the transmission cap, hands
+finished rows the next trial and holds engine state in one bounded pool: counts
 for mds and bound, the joint-state table for greedy (k <= 4) and the three
 clients' span masks above that (k <= 15), a subspace table for rl (k <= 4) and
 one stacked array of the three clients' fully reduced bases for rl above that.
@@ -40,10 +40,10 @@ _GAMMA_CHANNEL = 0x165667B19E3779F9
 
 POLICIES = ("greedy", "rl", "mds", "bound")
 
+# _drive's pool holds at most _BLOCK rows and _STATE_BYTES of engine state (or one
+# trial's): 1-D engines hold at most 24 B a row and fill _BLOCK rows, span masks and
+# rl bases fewer. run_experiment runs at most one slice of trials per _BLOCK.
 _BLOCK = 1 << 15
-# _drive holds at most this many bytes of engine state at a time (or one trial's),
-# so memory does not grow with the block: 1-D engines hold at most 24 B a trial and
-# run a whole block at once, span masks and rl bases run in sub-blocks
 _STATE_BYTES = 1 << 20
 
 CHANNEL_POLICY = 3
@@ -94,6 +94,8 @@ class ExperimentConfig:
                              f"supports k <= {MAX_MASK_DIM}, got {self.k}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.master_seed <= _MASK64:  # the hash reads the seed as 64 bits
+            raise ValueError(f"seed must be in [0, 2^64), got {self.master_seed}")
         if self.max_tx_per_trial < 1:
             raise ValueError("max_tx_per_trial must be >= 1")
 
@@ -143,8 +145,7 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def _trial_base_np(seed: int, trials: np.ndarray) -> np.ndarray:
-    return _mix64_np(np.uint64(seed & _MASK64)
-                     + (trials + np.uint64(1)) * np.uint64(_GAMMA_TRIAL))
+    return _mix64_np(np.uint64(seed) + (trials + np.uint64(1)) * np.uint64(_GAMMA_TRIAL))
 
 
 def _tx_base_np(trial_base: np.ndarray, tx: int) -> np.ndarray:
@@ -222,29 +223,40 @@ def _drive(config: ExperimentConfig, lo: int, hi: int, make_state, step) -> np.n
     """Run trials lo..hi-1 to completion; returns their transmission counts.
 
     make_state(n) returns the state of n fresh trials, arrays whose first axis
-    is the trial; the trials run in sub-blocks of _STATE_BYTES of state each,
-    as make_state(1) measures it. Each transmission, step(h, recv, state)
-    advances every unfinished trial in place, given the transmission hashes h
-    and the three per-client reception masks recv, and returns the mask of
-    trials that are now done. Done trials are compacted out of every array, so
-    steps see only unfinished trials, in trial order.
+    is the row; one pool of at most _BLOCK rows and _STATE_BYTES of state (as
+    make_state(1) measures it) runs them all. Each transmission, step(h, recv,
+    state) advances every row in place, given the transmission hashes h and the
+    three per-client reception masks recv, and returns the mask of rows whose
+    trial is now done. A done row takes the next pending trial: one started at
+    step t0 has base _trial_base - t0 * _GAMMA_TX and count -t0, so step t is its
+    transmission t - t0. Once none is pending, done rows are compacted out.
     """
-    sub = max(1, _STATE_BYTES // sum(array.nbytes for array in make_state(1)))
-    tx_out = np.zeros(hi - lo, dtype=np.int64)
-    s = 1.0 - config.p
-    for at in range(0, hi - lo, sub):
-        idx = np.arange(at, min(at + sub, hi - lo))
-        base = _trial_base_np(config.master_seed, (idx + lo).astype(np.uint64))
-        state, t = make_state(idx.size), 0
-        while idx.size:
-            if t >= config.max_tx_per_trial:
-                raise TransmissionCapError(lo + int(idx[0]), config.max_tx_per_trial)
-            h = _tx_base_np(base, t)
-            recv = [_draw_np(h, c) < s for c in range(3)]
-            done = step(h, recv, state)
-            t += 1
-            if done.any():
-                tx_out[idx[done]] = t
+    trials, cap, s = hi - lo, config.max_tx_per_trial, 1.0 - config.p
+    rows = min(trials, _BLOCK, max(1, _STATE_BYTES // sum(a.nbytes for a in make_state(1))))
+    tx_out, idx = np.zeros(trials, dtype=np.int64), np.arange(rows)
+    base = _trial_base_np(config.master_seed, (idx + lo).astype(np.uint64))
+    state, t, started, oldest = make_state(rows), 0, rows, 0
+    while idx.size:
+        # no row started before step oldest; the lowest trial left started first
+        if t - oldest >= cap and t - (oldest := -int(tx_out[idx].max())) >= cap:
+            raise TransmissionCapError(lo + int(idx.min()), cap)
+        h = _tx_base_np(base, t)
+        recv = [_draw_np(h, c) < s for c in range(3)]
+        done = step(h, recv, state)
+        t += 1
+        if done.any():
+            tx_out[idx[done]] += t
+            if started < trials:
+                free = np.flatnonzero(done)[:trials - started]
+                done[free] = False
+                idx[free] = fresh = np.arange(started, started + free.size)
+                base[free] = (_trial_base_np(config.master_seed, (fresh + lo).astype(np.uint64))
+                              + np.uint64((-t * _GAMMA_TX) & _MASK64))
+                tx_out[fresh] = -t
+                for array, init in zip(state, make_state(free.size)):
+                    array[free] = init
+                started += free.size
+            if started == trials:
                 keep = ~done
                 idx, base = idx[keep], base[keep]
                 state = [array[keep] for array in state]
@@ -396,7 +408,7 @@ def _mask_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def _scalar_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    return np.array([run_trial(config, i) for i in range(lo, hi)], dtype=np.int64)
+    return np.fromiter((run_trial(config, i) for i in range(lo, hi)), np.int64, hi - lo)
 
 
 def _thread_count() -> int:
@@ -446,9 +458,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     else:
         block_fn = _scalar_block
 
-    spans = [(lo, min(lo + _BLOCK, config.trials))
-             for lo in range(0, config.trials, _BLOCK)]
-    tx = np.concatenate(parallel_map(lambda ab: block_fn(config, *ab), spans))
+    n = min(_thread_count(), -(-config.trials // _BLOCK))
+    spans = [(config.trials * i // n, config.trials * (i + 1) // n) for i in range(n)]
+    tx = parallel_map(lambda ab: block_fn(config, *ab), spans)
+    tx = tx[0] if n == 1 else np.concatenate(tx)
     mean = float(tx.mean())
     stderr = float(tx.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
     return ExperimentResult(mean_tx=mean, stderr=stderr, trials=config.trials,

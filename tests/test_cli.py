@@ -6,6 +6,8 @@ import pytest
 
 from xorcast import bounds, cli, markov, sim
 
+from conftest import run_measuring_peak
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -302,6 +304,40 @@ class TestFigure:
         assert "ideal-code mean" in err
 
 
+# simulate and figure take the same trials and seed
+RUN_COMMANDS = {
+    "simulate": ["simulate", "--policy", "mds", "--k", "2", "--p", "0.5"],
+    "figure": ["figure", "--which", "fig1a", "--p-grid", "0.5"],
+}
+
+
+class TestRunArguments:
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, command, seed):
+        # such a seed would alias one inside [0, 2^64)
+        code, out, err = run_cli(capsys, *RUN_COMMANDS[command], "--trials", "10",
+                                 "--seed", str(seed))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: seed must be in [0, 2^64)")
+
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    def test_too_many_trials_is_runtime_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *RUN_COMMANDS[command], "--trials", str(10**15))
+        assert code == 2 and out == ""
+        assert err.startswith("runtime error: Unable to allocate") and err.count("\n") == 1
+
+    def test_too_many_trials_refused_before_touching_memory(self):
+        run = ("import contextlib, io\nfrom xorcast import cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    codes = [cli.main([*argv, '--trials', '{{}}']) for argv in {list(RUN_COMMANDS.values())}]\n"
+               "print(*codes)")
+        few, few_mb = run_measuring_peak(run.format(10))
+        many, many_mb = run_measuring_peak(run.format(10**15))
+        assert few == ["0", "0"] and many == ["2", "2"]
+        assert many_mb < few_mb + 5
+
+
 class TestFigureRows:
     def test_validation(self):
         with pytest.raises(cli.UsageError, match="figure must be one of"):
@@ -312,7 +348,7 @@ class TestFigureRows:
             cli.figure_rows("fig1a", [0.5, 1.0], 10, 0, 4)
 
     def test_parallel_dispatch_matches_serial(self, monkeypatch):
-        # fig1a points each run a two-block rl simulation inside the point pool
+        # fig1a points each run a two-slice rl simulation inside the point pool
         trials = sim._BLOCK + 1
         for which in ("fig1c", "fig1a"):
             monkeypatch.delenv("XORCAST_THREADS", raising=False)
@@ -324,7 +360,7 @@ class TestFigureRows:
             assert cli.figure_rows(which, [0.1, 0.4], trials, 11, 4) == serial, which
 
     def test_point_blocks_run_on_one_thread(self, monkeypatch):
-        # figure points take the threads; a point's simulation blocks do not
+        # figure points take the threads; a point's simulation slices do not
         # open a second pool inside them
         seen = []
         block = sim._rl_table_block

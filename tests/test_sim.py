@@ -22,6 +22,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(k=2, p=0.1, policy="greedy", trials=0, master_seed=0)
 
+    def test_seed_within_64_bits(self):
+        # the hash reads the seed as a 64-bit word: outside [0, 2^64) seeds would alias
+        for seed in (0, (1 << 64) - 1):
+            ExperimentConfig(k=2, p=0.1, policy="rl", trials=1, master_seed=seed)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="seed must be in"):
+                ExperimentConfig(k=2, p=0.1, policy="rl", trials=1, master_seed=seed)
+
     def test_greedy_k_limited_to_scan_dimension(self):
         # constructed only: a greedy run at k=20 scans 2^20 codewords per step
         ExperimentConfig(k=20, p=0.1, policy="greedy", trials=1, master_seed=0)
@@ -147,8 +155,13 @@ class TestRunExperiment:
         assert np.array_equal(r1.tx_counts, r2.tx_counts)
 
     def test_threading_bit_identical(self, monkeypatch):
-        # greedy table, greedy span masks, rl subspace table, rl bases (k = 32 in
-        # sub-blocks too) and counts; every config but the first spans two blocks
+        # greedy table, greedy span masks, rl subspace table, rl bases (k = 32 on a
+        # pool that refills) and counts; each config runs on one slice of trials
+        # serially and on at least two threaded
+        slices = []
+        serial_map = sim.parallel_map
+        monkeypatch.setattr(sim, "parallel_map",
+                            lambda fn, items: slices.append(len(items)) or serial_map(fn, items))
         configs = [
             ExperimentConfig(k=2, p=0.5, policy="greedy", trials=100_000, master_seed=5),
             ExperimentConfig(k=8, p=0.5, policy="greedy", trials=sim._BLOCK + 5000, master_seed=5),
@@ -160,9 +173,11 @@ class TestRunExperiment:
         for cfg in configs:
             monkeypatch.delenv("XORCAST_THREADS", raising=False)
             serial = run_experiment(cfg)
+            assert slices.pop() == 1
             for threads in ("2", "3"):
                 monkeypatch.setenv("XORCAST_THREADS", threads)
                 threaded = run_experiment(cfg)
+                assert slices.pop() >= 2, (cfg, threads)
                 assert np.array_equal(serial.tx_counts, threaded.tx_counts), (cfg, threads)
 
     # rl on both sides of the subspace-table limit (k <= 4 table, k > 4 bases), and
@@ -198,10 +213,10 @@ class TestRunExperiment:
                               np.array([run_trial(cfg, i) for i in range(60)]))
         assert res.mean_tx >= 5.0
 
-    # _drive runs _STATE_BYTES of state at a time: 682 trials of greedy's span masks
-    # at k = 12 (3 * 2^k / 8 bytes a trial), about 2,570 of rl's bases at k = 32 (a
+    # _drive's pool holds _STATE_BYTES of state: 682 rows of greedy's span masks at
+    # k = 12 (3 * 2^k / 8 bytes a trial), about 2,570 of rl's bases at k = 32 (a
     # uint32 row per bit and an int64 rank per client). The cap is the first
-    # sub-block's largest count, so the first trial over it lies in the second one.
+    # pool's largest count, so the first trial over it starts in a refilled row.
     @pytest.mark.parametrize("policy, k, p, trials, seed, trial_bytes", [
         pytest.param("greedy", 12, 0.5, 1000, 2, 3 * (1 << 12) // 8, id="greedy-k12"),
         pytest.param("rl", 32, 0.25, 2800, 7, 3 * 32 * 4 + 3 * 8, id="rl-k32"),
@@ -216,6 +231,32 @@ class TestRunExperiment:
                                   max_tx_per_trial=int(scalar[:sub].max()))
         over = np.flatnonzero(scalar > capped.max_tx_per_trial)
         assert over.size and over[0] >= sub
+        with pytest.raises(TransmissionCapError) as err:
+            run_experiment(capped)
+        assert err.value.trial_index == over[0]
+
+    # a pool of 4 rows refills many times on every engine: counts, the greedy
+    # table, span masks, the rl table and rl bases in uint16 and uint64 rows. The
+    # cap is the first pool's largest count, so the first trial over it is a
+    # refilled one, in a row that is not the pool's first.
+    @pytest.mark.parametrize("policy, k, p, seed, row_bytes", [
+        pytest.param("mds", 3, 0.5, 1, 3 * 8, id="counts"),
+        pytest.param("greedy", 3, 0.5, 2, 8, id="greedy-table"),
+        pytest.param("greedy", 5, 0.5, 4, 3 * 8, id="span-masks"),
+        pytest.param("rl", 3, 0.5, 3, 3 * 8, id="rl-table"),
+        pytest.param("rl", 9, 0.4, 5, 3 * 9 * 2 + 3 * 8, id="rl-basis-k9"),
+        pytest.param("rl", 33, 0.4, 2, 3 * 33 * 8 + 3 * 8, id="rl-basis-k33"),
+    ])
+    def test_drive_refills_pool(self, monkeypatch, policy, k, p, seed, row_bytes):
+        rows, trials = 4, 80
+        monkeypatch.setattr(sim, "_STATE_BYTES", rows * row_bytes)
+        cfg = ExperimentConfig(k=k, p=p, policy=policy, trials=trials, master_seed=seed)
+        scalar = np.array([run_trial(cfg, i) for i in range(trials)])
+        assert np.array_equal(run_experiment(cfg).tx_counts, scalar)
+        capped = ExperimentConfig(k=k, p=p, policy=policy, trials=trials, master_seed=seed,
+                                  max_tx_per_trial=int(scalar[:rows].max()))
+        over = np.flatnonzero(scalar > capped.max_tx_per_trial)
+        assert over.size and over[0] >= rows
         with pytest.raises(TransmissionCapError) as err:
             run_experiment(capped)
         assert err.value.trial_index == over[0]
@@ -289,8 +330,8 @@ class TestScalarGreedyPinned:
 class TestRlBasisPinned:
     # SHA-256 of the little-endian int64 tx_counts of rl at p = 0.4, seed k, on
     # both sides of each row dtype boundary (8/9, 16/17, 32/33 bits), pinned
-    # from bases kept as three uint64 arrays; None trials is _BLOCK + 5000, so
-    # the run spans two blocks
+    # from bases kept as three uint64 arrays; None trials is _BLOCK + 5000, more
+    # than one pool holds, so rows refill
     PINNED = {
         (5, 2000, False): "74d99fceeffe1a3b40a8f9c0fe4b22d4fecad5c69083fdd0076db14a68cc08e8",
         (5, 2000, True): "1466e865fe2a36ccf36d710f33d765c2f3af832587ac175be45bbeccd9faf547",
@@ -320,8 +361,8 @@ class TestRlBasisPinned:
 
 
 class TestDriveMemory:
-    # _drive holds _STATE_BYTES of state at a time, so many trials peak within a few
-    # MB of one sub-block. Span masks at greedy's largest mask k hold 3 * 2^k / 8
+    # _drive's pool holds _STATE_BYTES of state, so many trials peak within a few MB
+    # of one pool's worth. Span masks at greedy's largest mask k hold 3 * 2^k / 8
     # bytes a trial, 12 KB at k = 15: 2,000 trials held at once would be 24 MB before
     # the step's temporaries, and lossless channels, which grow every row each step,
     # make the largest temporaries. rl bases at k = 32 hold 408 bytes a trial, and
