@@ -23,13 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-
-import numpy as np
+from operator import index
 
 _TAIL_EPSILON = 1e-12  # series truncation tolerance
 # The chain replaces the series, of about k/s terms, where k/s exceeds this many
 # times (k+1)(k+2): the two took equal time at 0.43-0.86 times it for k = 2..63.
 _CHAIN_CROSSOVER = 0.5
+
+
+def _as_int(name: str, value) -> int:  # any type with __index__ but bool, numpy's too
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index(value)
 
 
 def _check_loss(p: float) -> None:
@@ -45,6 +50,7 @@ class BoundQuery:
     p: float
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _as_int("k", self.k))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         _check_loss(self.p)
@@ -98,6 +104,7 @@ def _reception_chain(targets: tuple[int, int, int], p: float) -> float:
     rounded sum of the very weights the numerator uses: 1 - p^|U| loses digits
     near p = 1, and any mismatch compounds over the levels.
     """
+    import numpy as np  # only this chain needs numpy; the series and the package load none
     s = 1.0 - p
     t1, t2, t3 = targets
     # weight[S][U] for receiving set S and unfinished set U, both 3-bit masks

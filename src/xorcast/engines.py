@@ -1,0 +1,272 @@
+"""sim.run_experiment's vector engines; it imports them, and numpy, on its first call.
+
+Each is a step function on one trial driver, _drive, which hashes, checks the cap,
+hands finished rows the next trial and holds engine state in one bounded pool. No
+function here is memoized: perfbench clears only the caches of modules loaded before it."""
+
+from functools import partial
+
+import numpy as np
+
+from . import markov, sim
+from .gf2 import _low_halves, subspace_table
+from .policy import _coverage_levels
+from .sim import (_BLOCK, _GAMMA_CHANNEL, _GAMMA_TRIAL, _GAMMA_TX, _MASK64, _MUL1, _MUL2,
+                  CHANNEL_POLICY, ExperimentConfig, TransmissionCapError, run_trial)
+
+# _drive's pool holds at most _STATE_BYTES of engine state (or one trial's): 1-D
+# engines hold at most 24 B a row and fill _BLOCK rows, span masks and rl bases fewer.
+_STATE_BYTES = 1 << 20
+
+# Greedy runs on the joint-state table and rl on the subspace table up to this k
+_TABLE_DIM_LIMIT = markov.MAX_FINE_DIM
+# Span masks cost O(2^k) a step, as run_trial's do; above this k run_trial is faster
+_MASK_DIM_LIMIT = 15
+
+
+def _mix64_np(z: np.ndarray) -> np.ndarray:
+    """_mix64 of every element, computed in z's own storage; returns z."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _trial_base_np(seed: int, trials: np.ndarray) -> np.ndarray:
+    return _mix64_np(np.uint64(seed) + (trials + np.uint64(1)) * np.uint64(_GAMMA_TRIAL))
+
+
+def _tx_base_np(trial_base: np.ndarray, tx: int) -> np.ndarray:
+    return _mix64_np(trial_base + np.uint64(((tx + 1) * _GAMMA_TX) & _MASK64))
+
+
+def _word_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
+    return _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
+
+
+def _draw_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
+    return (_word_np(tx_base, channel) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _rl_vectors(tx_base: np.ndarray, config: ExperimentConfig, dtype) -> np.ndarray:
+    """Coding vectors of the rl policy, drawn as _rl_vector draws them."""
+    shift = np.uint64(64 - config.k)
+    w = _word_np(tx_base, CHANNEL_POLICY) >> shift
+    channel, zero = CHANNEL_POLICY, np.flatnonzero(w == 0)
+    while zero.size and not config.rl_include_zero:
+        channel += 1
+        w[zero] = _word_np(tx_base[zero], channel) >> shift
+        zero = zero[w[zero] == 0]
+    return w.astype(dtype, copy=False)
+
+
+def _drive(config: ExperimentConfig, lo: int, hi: int, make_state, step) -> np.ndarray:
+    """Run trials lo..hi-1 to completion; returns their transmission counts.
+
+    make_state(n) returns the state of n fresh trials, arrays whose first axis
+    is the row; one pool of at most _BLOCK rows and _STATE_BYTES of state (as
+    make_state(1) measures it) runs them all. Each transmission, step(h, recv,
+    state) advances every row in place, given the transmission hashes h and the
+    three per-client reception masks recv, and returns the mask of rows whose
+    trial is now done. A done row takes the next pending trial: one started at
+    step t0 has base _trial_base - t0 * _GAMMA_TX and count -t0, so step t is its
+    transmission t - t0. Once none is pending, done rows are compacted out.
+    """
+    trials, cap, s = hi - lo, config.max_tx_per_trial, 1.0 - config.p
+    rows = min(trials, _BLOCK, max(1, _STATE_BYTES // sum(a.nbytes for a in make_state(1))))
+    tx_out, idx = np.zeros(trials, dtype=np.int64), np.arange(rows)
+    base = _trial_base_np(config.master_seed, (idx + lo).astype(np.uint64))
+    state, t, started, oldest = make_state(rows), 0, rows, 0
+    while idx.size:
+        # no row started before step oldest; the lowest trial left started first
+        if t - oldest >= cap and t - (oldest := -int(tx_out[idx].max())) >= cap:
+            raise TransmissionCapError(lo + int(idx.min()), cap)
+        h = _tx_base_np(base, t)
+        recv = [_draw_np(h, c) < s for c in range(3)]
+        done = step(h, recv, state)
+        t += 1
+        if done.any():
+            tx_out[idx[done]] += t
+            if started < trials:
+                free = np.flatnonzero(done)[:trials - started]
+                done[free] = False
+                idx[free] = fresh = np.arange(started, started + free.size)
+                base[free] = (_trial_base_np(config.master_seed, (fresh + lo).astype(np.uint64))
+                              + np.uint64((-t * _GAMMA_TX) & _MASK64))
+                tx_out[fresh] = -t
+                for array, init in zip(state, make_state(free.size)):
+                    array[free] = init
+                started += free.size
+            if started == trials:
+                keep = ~done
+                idx, base = idx[keep], base[keep]
+                state = [array[keep] for array in state]
+    return tx_out
+
+
+def _counts_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """mds / bound trials: each client needs a fixed number of receptions."""
+    k = config.k
+    targets = (k, k, k + 1 if config.policy == "bound" else k)
+
+    def step(h, recv, need):  # need[c][i]: receptions client c of trial i still lacks
+        for c in range(3):
+            need[c] -= recv[c]
+        return (need[0] <= 0) & (need[1] <= 0) & (need[2] <= 0)
+
+    return _drive(config, lo, hi,
+                  lambda n: [np.full(n, target, dtype=np.int64) for target in targets], step)
+
+
+def _table_block(config: ExperimentConfig, lo: int, hi: int, table: np.ndarray,
+                 absorbing: int) -> np.ndarray:
+    """Greedy trials on the joint-state table; state 0 holds no receptions."""
+    flat = table.ravel()
+
+    def step(h, recv, state):
+        key = state[0] << 3
+        key |= recv[0]
+        key |= recv[1] << 1
+        key |= recv[2] << 2
+        np.take(flat, key, out=state[0])
+        return state[0] == absorbing
+
+    return _drive(config, lo, hi, lambda n: [np.zeros(n, dtype=np.intp)], step)
+
+
+def _subspace_table(k: int) -> tuple[np.ndarray, int]:
+    """(nxt, full): gf2's cached subspace_table(k) as an array, nxt[span, w] the span
+    after receiving w, and the index of GF(2)^k. Column 0 maps every span to itself."""
+    bases, _, nxt = subspace_table(k)
+    return np.array(nxt, dtype=np.intp), len(bases) - 1
+
+
+def _rl_table_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """rl trials for k <= _TABLE_DIM_LIMIT: each client's span is a table index."""
+    nxt, full = _subspace_table(config.k)
+    flat = nxt.ravel()
+    width = nxt.shape[1]
+
+    def step(h, recv, span):
+        w = _rl_vectors(h, config, np.intp)
+        for c in range(3):
+            # a lost codeword acts as the zero vector, which leaves the span as it is
+            key = span[c] * width
+            key += w * recv[c]
+            np.take(flat, key, out=span[c])
+        return (span[0] == full) & (span[1] == full) & (span[2] == full)
+
+    return _drive(config, lo, hi, lambda n: [np.zeros(n, dtype=np.intp) for _ in range(3)], step)
+
+
+def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """rl trials for k > _TABLE_DIM_LIMIT on fully reduced per-client bases.
+
+    basis[i, c, j] is trial i's client c row whose pivot (lowest set bit) is bit
+    j, or 0, in the narrowest unsigned dtype that holds k bits. Every row is
+    zero at the other rows' pivots, so w reduces to w xor the rows that its own
+    bits select, in one pass. One update serves every (trial, client) pair that
+    received w and lacks full rank, whichever the client.
+    """
+    k = config.k
+    dtype = np.min_scalar_type((1 << k) - 1)
+    one = dtype.type(1)
+
+    def step(h, recv, state):
+        basis, rank = state[0].reshape(-1, k), state[1].reshape(-1)
+        w = _rl_vectors(h, config, dtype)
+        pick = np.flatnonzero(np.stack(recv, axis=1) & (state[1] < k))
+        wp = w[pick // 3]  # pick holds flat (trial, client) pair indices
+        rows = np.take(basis, pick, axis=0)
+        # bits[i, j] = bit j of wp[i]
+        bits = np.unpackbits(wp.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+                             count=k, bitorder="little")
+        terms = np.multiply(rows, bits, dtype=dtype)
+        reduced = np.bitwise_xor.reduce(terms, axis=1)
+        reduced ^= wp
+        # the new pivot bit, 0 where w was already in the span
+        low = reduced & (~reduced + one)
+        # clear it from the client's other rows: hit = reduced where a row has it,
+        # as (row & low) * (reduced // low), exact since low divides reduced
+        hit = np.bitwise_and(rows, low[:, None], out=terms)
+        hit *= (reduced // np.maximum(low, one))[:, None]
+        rows ^= hit
+        new = np.flatnonzero(low)
+        pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
+        rows[new, pivot] = reduced[new]
+        basis[pick] = rows
+        rank[pick[new]] += 1
+        return (state[1] == k).all(axis=1)
+
+    return _drive(config, lo, hi, lambda n: [np.zeros((n, 3, k), dtype=dtype),
+                                             np.zeros((n, 3), dtype=np.int64)], step)
+
+
+def _mask_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """Greedy trials for _TABLE_DIM_LIMIT < k <= _MASK_DIM_LIMIT on span masks.
+
+    span[i, c] holds trial i's client c span as a 2^k-bit mask, bit x at bit x & 63
+    of uint64 word x >> 6. A full span misses nothing, so finished clients drop
+    out of the coverage levels by themselves.
+    """
+    k = config.k
+    words = max(1, (1 << k) >> 6)
+    zero = (np.arange(words) == 0).astype(np.uint64)  # the span of no rows: bit 0
+    full = np.full(words, (1 << min(1 << k, 64)) - 1, dtype=np.uint64)
+    nonzero = full ^ zero  # every w but 0
+
+    def step(h, recv, state):
+        span, trials, word, low = state[0], np.arange(len(state[0])), 0, 0
+        # the smallest w of the best nonempty level: its first nonzero word, then
+        # that word's lowest bit (the levels stay within nonzero, whatever ~span holds)
+        for level in _coverage_levels(nonzero, [~span[:, c] for c in range(3)])[1:]:
+            first = (level != 0).argmax(axis=1)
+            value = level[trials, first]
+            word, low = np.where(value != 0, first, word), np.where(value != 0, value, low)
+        bit = np.log2((low & (~low + np.uint64(1))).astype(np.float64)).astype(np.intp)
+        # only the (trial, client) rows that received a w outside their span grow
+        grows = np.stack(recv, axis=1)
+        grows &= (span[trials, :, word] >> bit[:, None].astype(np.uint64) & 1) == 0
+        pick = np.flatnonzero(grows)
+        word, bit, flat = word[pick // 3], bit[pick // 3], span.reshape(-1, words)
+        # moved[r] = row r translated by w, bit x taken from bit x ^ w: words i ^ (w >> 6),
+        # then within each word the halves that each set bit j of w & 63 selects swapped
+        moved = np.take(flat, (pick * words)[:, None] + (np.arange(words) ^ word[:, None]))
+        for j in range(min(k, 6)):
+            sel = np.flatnonzero(bit >> j & 1)
+            if j < 3:
+                x, shift = moved[sel], np.uint64(1 << j)
+                t = (x >> shift ^ x) & np.uint64(_low_halves(6)[j])
+                moved[sel] = x ^ t ^ t << shift
+            else:  # halves of whole bytes: swap neighbouring 8-, 16- or 32-bit lanes
+                lanes = moved.view(f"u{1 << (j - 3)}").reshape(len(moved), words << (5 - j), 2)
+                lanes[sel] = lanes[sel, :, ::-1]
+        flat[pick] |= moved
+        return (span == full).all(axis=(1, 2))
+
+    return _drive(config, lo, hi, lambda n: [np.tile(zero, (n, 3, 1))], step)
+
+
+def _scalar_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    return np.fromiter((run_trial(config, i) for i in range(lo, hi)), np.int64, hi - lo)
+
+
+def run_slices(config: ExperimentConfig, slices: list[tuple[int, int]]) -> np.ndarray:
+    """Transmission counts of trials lo..hi-1 for each (lo, hi), in order, on config's engine."""
+    if config.policy in ("mds", "bound"):
+        block_fn = _counts_block
+    elif config.policy == "rl":
+        block_fn = _rl_table_block if config.k <= _TABLE_DIM_LIMIT else _rl_basis_block
+    elif config.k <= _TABLE_DIM_LIMIT:
+        chain = markov.build_fine_chain(config.k, "smallest")
+        table = np.array([row or (i,) * 8 for i, row in enumerate(chain.mask_successors)],
+                         dtype=np.intp)
+        block_fn = partial(_table_block, table=table, absorbing=chain.absorbing_index)
+    elif config.k <= _MASK_DIM_LIMIT:
+        block_fn = _mask_block
+    else:
+        block_fn = _scalar_block
+    tx = sim.parallel_map(lambda ab: block_fn(config, *ab), slices)
+    return tx[0] if len(tx) == 1 else np.concatenate(tx)

@@ -36,21 +36,26 @@ def random_state(k: int, ranks, rng: random.Random) -> NetworkState:
     return NetworkState(k, tuple(random_decoder(k, r, rng) for r in ranks))
 
 
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter on this checkout's src, with XORCAST_THREADS
+    unset; returns its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("XORCAST_THREADS", None)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
+
+
 def run_measuring_peak(code: str) -> tuple[list[str], float]:
-    """Run code in a fresh interpreter on this checkout's src; returns its stdout
-    words and its peak resident memory in MB. Linux carries the spawning
-    process's peak into a child's ru_maxrss, so the child reports the peak of its
-    own image (VmHWM) where /proc has it."""
+    """Run code in a fresh interpreter (run_fresh); returns its stdout words and
+    its peak resident memory in MB. Linux carries the spawning process's peak
+    into a child's ru_maxrss, so the child reports the peak of its own image
+    (VmHWM) where /proc has it."""
     code += ("\nimport resource\n"
              "try:\n"
              "    print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
              "except OSError:\n"
              "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("XORCAST_THREADS", None)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    *words, max_rss_kib = done.stdout.split()
+    *words, max_rss_kib = run_fresh(code).split()
     return words, int(max_rss_kib) / 1024

@@ -265,6 +265,17 @@ class TestBoundQuery:
     def test_s(self):
         assert BoundQuery(k=2, p=0.25).s == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("k", [5.0, 5.5, True, "5", None])
+    def test_non_integer_k_refused(self, k):
+        # k = 5.0 used to fail with a TypeError inside the series
+        with pytest.raises(ValueError, match="k must be an integer"):
+            BoundQuery(k=k, p=0.5)
+
+    def test_numpy_integer_k_is_an_int(self):
+        q = BoundQuery(k=np.int64(5), p=0.5)
+        assert type(q.k) is int and q == BoundQuery(k=5, p=0.5)
+        assert expected_ell(q) == expected_ell(BoundQuery(k=5, p=0.5))
+
 
 def _per_m_series(q, completion):
     # the direct method: every tail taken from scipy, 4096 values of m at a time,

@@ -1,12 +1,11 @@
 import hashlib
 import json
-import threading
 
 import pytest
 
-from xorcast import bounds, cli, markov, sim
+from xorcast import bounds, cli, engines, gf2, markov, sim
 
-from conftest import run_measuring_peak
+from conftest import run_fresh, run_measuring_peak
 
 
 def run_cli(capsys, *argv):
@@ -350,33 +349,31 @@ class TestFigureRows:
             cli.figure_rows("fig1a", [0.5, 1.0], 10, 0, 4)
 
     def test_parallel_dispatch_matches_serial(self, monkeypatch):
-        # fig1a points each run a two-slice rl simulation inside the point pool
+        # fig1a points each run an rl simulation above one _BLOCK inside the point pool
         trials = sim._BLOCK + 1
         for which in ("fig1c", "fig1a"):
             monkeypatch.delenv("XORCAST_THREADS", raising=False)
             serial = cli.figure_rows(which, [0.1, 0.4], trials, 11, 4)
             # cold caches: the threads build the chains and tables concurrently
             markov.build_chain.cache_clear()
-            sim._subspace_table.cache_clear()
+            gf2.subspace_table.cache_clear()
             monkeypatch.setenv("XORCAST_THREADS", "6")
             assert cli.figure_rows(which, [0.1, 0.4], trials, 11, 4) == serial, which
 
     def test_point_blocks_run_on_one_thread(self, monkeypatch):
-        # figure points take the threads; a point's simulation slices do not
-        # open a second pool inside them
+        # figure points take the threads; a point's simulation, though above one
+        # _BLOCK, runs as one slice on its point's thread and opens no second pool
         seen = []
-        block = sim._rl_table_block
+        block = engines._rl_table_block
 
         def traced(config, lo, hi):
-            seen.append((config.p, threading.get_ident()))
+            seen.append((config.p, lo, hi))
             return block(config, lo, hi)
 
-        monkeypatch.setattr(sim, "_rl_table_block", traced)
+        monkeypatch.setattr(engines, "_rl_table_block", traced)
         monkeypatch.setenv("XORCAST_THREADS", "2")
         cli.figure_rows("fig1a", [0.1, 0.5], sim._BLOCK + 1, 3, 4)
-        for p in (0.1, 0.5):
-            threads = [ident for q, ident in seen if q == p]
-            assert len(threads) == 2 and len(set(threads)) == 1, (p, threads)
+        assert sorted(seen) == [(p, 0, sim._BLOCK + 1) for p in (0.1, 0.5)]
 
 
 # Whole stdout of each report command, byte for byte. The text and JSON
@@ -395,6 +392,12 @@ PINNED_STDOUT = {
     "exact --k 2 --p 0.25 --json": (
         '{"command": "exact", "k": 2, "p": 0.25, "e_tx": 3.432137350178167, '
         '"rt": 1.7160686750890835}\n'),
+    "exact --k 3 --p 0.5 --oracle": (
+        "k=3 p=0.5\n"
+        "E[t_x]=8.109220\n"
+        "R_t=2.703073\n"
+        "fine=8.109220\n"
+        "diff=0.000000e+00\n"),
     "exact --k 3 --p 0.5 --oracle --json": (
         '{"command": "exact", "k": 3, "p": 0.5, "e_tx": 8.109220139666636, '
         '"rt": 2.703073379888879, "fine": 8.109220139666636, "diff": 0.0}\n'),
@@ -411,6 +414,20 @@ PINNED_STDOUT = {
         '"e_delta": 0.8255845202902445, "mds": 12.286971610385283, '
         '"rt_ell": 1.6128594452758933, "rt_mds": 1.5358714512981604, '
         '"rt_gap": 0.07698799397773293}\n'),
+    "bound --k 8 --p 0.5": (
+        "k=8 p=0.5\n"
+        "E[l]=20.339959\n"
+        "E[delta]=0.653061\n"
+        "MDS=19.456633\n"
+        "R_t upper=2.542495\n"
+        "R_t mds=2.432079\n"
+        "R_t gap=0.110416\n"),
+    # the reception-count chain, which takes over from the series near p = 1
+    "bound --k 32 --p 0.99 --json": (
+        '{"command": "bound", "k": 32, "p": 0.99, "e_ell": 3721.9917286664577, '
+        '"e_delta": 0.010198939914097375, "mds": 3683.595501026689, '
+        '"rt_ell": 116.3122415208268, "rt_mds": 115.11235940708403, '
+        '"rt_gap": 1.199882113742774}\n'),
     "simulate --policy rl --k 5 --p 0.3 --trials 300 --seed 4": (
         "policy=rl k=5 p=0.3 trials=300 seed=4\n"
         "mean=11.410000\n"
@@ -427,6 +444,30 @@ def test_stdout_pinned(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert (code, err) == (0, "")
     assert out == PINNED_STDOUT[command]
+
+
+def test_package_exact_and_bound_load_no_numpy():
+    # numpy was most of a fresh `import xorcast`; it now loads with the first
+    # simulation or reception-count chain, and those still print their pins
+    free = ["exact --k 3 --p 0.5 --oracle", "bound --k 8 --p 0.5"]
+    loading = ["bound --k 32 --p 0.99 --json",
+               "simulate --policy rl --k 5 --p 0.3 --trials 300 --seed 4"]
+    report = json.loads(run_fresh(
+        "import contextlib, io, json, sys\n"
+        "import xorcast\n"
+        "report = {'import xorcast': [0, '', 'numpy' in sys.modules]}\n"
+        "from xorcast import cli\n"
+        "report['import xorcast.cli'] = [0, '', 'numpy' in sys.modules]\n"
+        f"for command in {free + loading!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(command.split())\n"
+        "    report[command] = [code, out.getvalue(), 'numpy' in sys.modules]\n"
+        "print(json.dumps(report))\n"))
+    for step in ["import xorcast", "import xorcast.cli", *free]:
+        assert report[step][2] is False, step
+    for command in free + loading:
+        assert report[command][:2] == [0, PINNED_STDOUT[command]], command
 
 
 def test_unknown_figure_message_pinned(capsys):

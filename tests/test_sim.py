@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from xorcast import bounds, markov, sim
+from xorcast import bounds, engines, markov, sim
 from xorcast.sim import ExperimentConfig, TransmissionCapError, run_experiment, run_trial
 
 from conftest import run_measuring_peak
@@ -29,6 +29,31 @@ class TestConfigValidation:
         for seed in (-1, 1 << 64):
             with pytest.raises(ValueError, match="seed must be in"):
                 ExperimentConfig(k=2, p=0.1, policy="rl", trials=1, master_seed=seed)
+
+    # master_seed 1.5 and 1.9 used to alias seed 1 on the vector engines (while
+    # run_trial raised TypeError), k = 5.0 and trials = 10.0 failed with a TypeError
+    # inside the engines, and k = True ran as k = 1
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 1.5), ("master_seed", 1.9), ("master_seed", 1.0), ("master_seed", "1"),
+        ("k", 5.0), ("k", True), ("trials", 10.0), ("trials", True),
+        ("max_tx_per_trial", 1000.0), ("max_tx_per_trial", False),
+    ])
+    def test_non_integers_refused(self, field, value):
+        fields = dict(k=3, p=0.5, policy="rl", trials=10, master_seed=1)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(**fields)
+
+    def test_numpy_integers_taken_as_ints(self):
+        # at k = 63, 1 << k on a numpy int64 would overflow
+        plain = ExperimentConfig(k=63, p=0.5, policy="rl", trials=20, master_seed=1,
+                                 max_tx_per_trial=1000)
+        wide = ExperimentConfig(k=np.int64(63), p=0.5, policy="rl", trials=np.int32(20),
+                                master_seed=np.uint64(1), max_tx_per_trial=np.int16(1000))
+        assert wide == plain
+        assert all(type(getattr(wide, name)) is int
+                   for name in ("k", "trials", "master_seed", "max_tx_per_trial"))
+        assert np.array_equal(run_experiment(wide).tx_counts, run_experiment(plain).tx_counts)
 
     def test_greedy_k_limited_to_scan_dimension(self):
         # constructed only: a greedy run at k=20 scans 2^20 codewords per step
@@ -98,16 +123,16 @@ class TestHashStreams:
     def test_scalar_vector_prf_equality(self):
         trials = np.arange(0, 257, dtype=np.uint64)
         for tx in (0, 1, 7, 1023):
-            base_v = sim._tx_base_np(sim._trial_base_np(12345, trials), tx)
+            base_v = engines._tx_base_np(engines._trial_base_np(12345, trials), tx)
             for channel in range(4):
-                vec = sim._draw_np(base_v, channel)
+                vec = engines._draw_np(base_v, channel)
                 for t in (0, 1, 100, 256):
                     scalar = sim._draw(sim._tx_base(sim._trial_base(12345, t), tx), channel)
                     assert scalar == vec[t]
 
     def test_uniform_range_and_spread(self):
         trials = np.arange(0, 20000, dtype=np.uint64)
-        u = sim._draw_np(sim._tx_base_np(sim._trial_base_np(7, trials), 0), 1)
+        u = engines._draw_np(engines._tx_base_np(engines._trial_base_np(7, trials), 0), 1)
         assert np.all((0.0 <= u) & (u < 1.0))
         assert abs(u.mean() - 0.5) < 0.01
         assert abs(np.mean(u < 0.25) - 0.25) < 0.01
@@ -188,7 +213,7 @@ class TestRunExperiment:
         for policy in ("greedy", "rl", "mds", "bound")
     ] + [
         pytest.param("greedy", k, p, False, id=f"greedy-k{k}-p{p}")
-        for k in (5, 8, 12, sim._MASK_DIM_LIMIT, sim._MASK_DIM_LIMIT + 1)
+        for k in (5, 8, 12, engines._MASK_DIM_LIMIT, engines._MASK_DIM_LIMIT + 1)
         for p in (0.0, 0.4, 0.8)
     ] + [
         pytest.param("greedy", sim.MAX_MASK_DIM, 0.4, False, id=f"greedy-k{sim.MAX_MASK_DIM}-p0.4")
@@ -222,7 +247,7 @@ class TestRunExperiment:
         pytest.param("rl", 32, 0.25, 2800, 7, 3 * 32 * 4 + 3 * 8, id="rl-k32"),
     ])
     def test_drive_sub_blocks(self, policy, k, p, trials, seed, trial_bytes):
-        sub = sim._STATE_BYTES // trial_bytes
+        sub = engines._STATE_BYTES // trial_bytes
         assert sub < trials
         cfg = ExperimentConfig(k=k, p=p, policy=policy, trials=trials, master_seed=seed)
         scalar = np.array([run_trial(cfg, i) for i in range(trials)])
@@ -249,7 +274,7 @@ class TestRunExperiment:
     ])
     def test_drive_refills_pool(self, monkeypatch, policy, k, p, seed, row_bytes):
         rows, trials = 4, 80
-        monkeypatch.setattr(sim, "_STATE_BYTES", rows * row_bytes)
+        monkeypatch.setattr(engines, "_STATE_BYTES", rows * row_bytes)
         cfg = ExperimentConfig(k=k, p=p, policy=policy, trials=trials, master_seed=seed)
         scalar = np.array([run_trial(cfg, i) for i in range(trials)])
         assert np.array_equal(run_experiment(cfg).tx_counts, scalar)
@@ -262,7 +287,7 @@ class TestRunExperiment:
         assert err.value.trial_index == over[0]
 
     def test_cap_below_ideal_mean_refused_before_any_trial(self, monkeypatch):
-        monkeypatch.setattr(sim, "_drive", lambda *args: pytest.fail("a trial ran"))
+        monkeypatch.setattr(engines, "_drive", lambda *args: pytest.fail("a trial ran"))
         for policy in sim.POLICIES:
             cfg = ExperimentConfig(k=4, p=0.5, policy=policy, trials=10, master_seed=1,
                                    max_tx_per_trial=7)
@@ -369,15 +394,15 @@ class TestDriveMemory:
     # _BLOCK + 5000 trials peaked near 72 MB as three uint64 arrays compacted into
     # fresh copies and near 47 MB as one uint32 array compacted in place.
     @pytest.mark.parametrize("policy, k, p, trial_bytes, many", [
-        pytest.param("greedy", sim._MASK_DIM_LIMIT, 0.0, 3 * (1 << sim._MASK_DIM_LIMIT) // 8,
-                     2000, id="greedy-k15"),
+        pytest.param("greedy", engines._MASK_DIM_LIMIT, 0.0,
+                     3 * (1 << engines._MASK_DIM_LIMIT) // 8, 2000, id="greedy-k15"),
         pytest.param("rl", 32, 0.5, 3 * 32 * 4 + 3 * 8, sim._BLOCK + 5000, id="rl-k32"),
     ])
     def test_peak_bounded_by_sub_block(self, policy, k, p, trial_bytes, many):
         run = ("from xorcast import sim\n"
                "print(sim.run_experiment(sim.ExperimentConfig(\n"
                f"    k={k}, p={p}, policy={policy!r}, trials={{}}, master_seed=1)).mean_tx)")
-        (sub_mean,), sub_mb = run_measuring_peak(run.format(sim._STATE_BYTES // trial_bytes))
+        (sub_mean,), sub_mb = run_measuring_peak(run.format(engines._STATE_BYTES // trial_bytes))
         (many_mean,), many_mb = run_measuring_peak(run.format(many))
         assert min(float(sub_mean), float(many_mean)) >= k / (1 - p)
         assert many_mb < sub_mb + 5
@@ -397,8 +422,8 @@ class TestRlDraws:
     def test_k60_low_bits_uniform(self, include_zero):
         cfg = ExperimentConfig(k=60, p=0.5, policy="rl", trials=1, master_seed=1,
                                rl_include_zero=include_zero)
-        h = sim._tx_base_np(sim._trial_base_np(1, np.arange(8000, dtype=np.uint64)), 0)
-        w = sim._rl_vectors(h, cfg, np.uint64)
+        h = engines._tx_base_np(engines._trial_base_np(1, np.arange(8000, dtype=np.uint64)), 0)
+        w = engines._rl_vectors(h, cfg, np.uint64)
         assert [sim._rl_vector(int(x), cfg) for x in h[:500]] == w[:500].tolist()
         # 1000 expected per pattern; 150 is five binomial standard deviations
         counts = np.bincount((w & np.uint64(7)).astype(np.intp), minlength=8)
@@ -407,8 +432,8 @@ class TestRlDraws:
     @pytest.mark.parametrize("k", [1, 2])
     def test_zero_redrawn_at_small_k(self, k):
         cfg = ExperimentConfig(k=k, p=0.5, policy="rl", trials=1, master_seed=1)
-        h = sim._tx_base_np(sim._trial_base_np(1, np.arange(4000, dtype=np.uint64)), 0)
-        w = sim._rl_vectors(h, cfg, np.intp)
+        h = engines._tx_base_np(engines._trial_base_np(1, np.arange(4000, dtype=np.uint64)), 0)
+        w = engines._rl_vectors(h, cfg, np.intp)
         assert w.min() >= 1 and w.max() < 1 << k
         assert [sim._rl_vector(int(x), cfg) for x in h] == w.tolist()
 
@@ -416,7 +441,7 @@ class TestRlDraws:
 class TestSubspaceTable:
     @pytest.mark.parametrize("k, subspaces", [(1, 2), (2, 5), (3, 16), (4, 67)])
     def test_counts_and_absorption(self, k, subspaces):
-        nxt, full = sim._subspace_table(k)
+        nxt, full = engines._subspace_table(k)
         assert nxt.shape == (subspaces, 1 << k)
         # the zero vector changes no span; the whole space absorbs every vector
         assert np.array_equal(nxt[:, 0], np.arange(subspaces))
