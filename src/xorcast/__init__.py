@@ -1,8 +1,6 @@
 """Exact minimum, bounds and simulation of XOR-coded multicast to three clients."""
 
-from .gf2 import ClientDecoder, CodingVector, InsertResult
 from .policy import (
-    NetworkState,
     distinct_dependent_count,
     greedy_codeword,
     lemma1_construct,
@@ -31,10 +29,6 @@ from .sim import ExperimentConfig, ExperimentResult, run_experiment, run_trial
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClientDecoder",
-    "CodingVector",
-    "InsertResult",
-    "NetworkState",
     "greedy_codeword",
     "sufficient_by_counting",
     "lemma1_construct",

@@ -15,7 +15,6 @@ import sys
 
 from . import bounds, markov, sim
 from .gf2 import MAX_DIM
-from .policy import CoverageSearchError
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
@@ -278,7 +277,7 @@ def main(argv=None) -> int:
     except (sim.TransmissionCapError, MemoryError) as exc:  # e.g. counts for too many trials
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (markov.SolverError, CoverageSearchError) as exc:
+    except markov.SolverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

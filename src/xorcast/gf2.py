@@ -1,45 +1,21 @@
-"""Bit-packed linear algebra over GF(2): coding vectors, client spans, span masks.
+"""Bit-packed linear algebra over GF(2): RREF row tuples and span masks.
 
 Vectors live in GF(2)^k and are stored as Python ints, bit j being the
-coefficient of input packet j+1. Client-side state is a basis in reduced
-row-echelon form (pivot = lowest set bit), which makes span membership a
-single elimination pass and gives every span a canonical representation.
+coefficient of input packet j+1. A client's span is a tuple of rows in fully
+reduced row-echelon form (pivot = lowest set bit), so its rank is the tuple's
+length, span membership is a single elimination pass and every span has one
+canonical tuple.
 A span can also be held as a 2^k-bit mask whose bit w is set iff w is in the
 span, and subspace_table enumerates every subspace of GF(2)^k at small k.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_DIM = 63
 # Span masks hold 2^k bits, which is desk scale only up to here.
 MAX_MASK_DIM = 20
-
-
-class DimensionMismatchError(ValueError):
-    """Operands disagree on the vector dimension k."""
-
-
-@dataclass(frozen=True)
-class CodingVector:
-    """Coefficient vector of one codeword; bit j = coefficient of packet j+1."""
-
-    bits: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_DIM:
-            raise ValueError(f"dimension k must be in [1, {MAX_DIM}], got {self.k}")
-        if not 0 <= self.bits < (1 << self.k):
-            raise ValueError(f"bits {self.bits:#x} out of range for k={self.k}")
-
-
-class InsertResult(enum.Enum):
-    INNOVATIVE = "innovative"
-    DEPENDENT = "dependent"
 
 
 def rref_reduce(rows: tuple[int, ...], bits: int) -> int:
@@ -124,62 +100,3 @@ def subspace_table(k: int) -> tuple[tuple, tuple, tuple]:
             row.append(index[grown])
         nxt.append(tuple(row))
     return tuple(bases), tuple(members), tuple(nxt)
-
-
-class ClientDecoder:
-    """Tracks the span of one client's received codewords.
-
-    Only the span is kept: every transmitter decision depends on rank and span
-    membership, never on the raw received multiset or the payloads.
-    """
-
-    __slots__ = ("k", "_rows")
-
-    def __init__(self, k: int):
-        if not 1 <= k <= MAX_DIM:
-            raise ValueError(f"dimension k must be in [1, {MAX_DIM}], got {k}")
-        self.k = k
-        self._rows: tuple[int, ...] = ()
-
-    @classmethod
-    def from_vectors(cls, k: int, vectors) -> "ClientDecoder":
-        dec = cls(k)
-        for v in vectors:
-            dec.insert(v)
-        return dec
-
-    def _coerce(self, w) -> int:
-        if isinstance(w, CodingVector):
-            if w.k != self.k:
-                raise DimensionMismatchError(f"k mismatch: vector {w.k} vs decoder {self.k}")
-            return w.bits
-        bits = int(w)
-        if not 0 <= bits < (1 << self.k):
-            raise DimensionMismatchError(f"bits {bits:#x} out of range for k={self.k}")
-        return bits
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    @property
-    def basis(self) -> tuple[int, ...]:
-        """RREF basis rows, ascending pivot order."""
-        return self._rows
-
-    def is_satisfied(self) -> bool:
-        return len(self._rows) == self.k
-
-    def insert(self, w) -> InsertResult:
-        """Record a received codeword; rank grows by one exactly when innovative."""
-        bits = self._coerce(w)
-        new_rows = rref_insert(self._rows, bits)
-        if new_rows is None:
-            return InsertResult.DEPENDENT
-        self._rows = new_rows
-        return InsertResult.INNOVATIVE
-
-    def __repr__(self):
-        rows = ",".join(f"{r:0{self.k}b}" for r in self._rows)
-        return f"ClientDecoder(k={self.k}, rank={self.rank}, rows=[{rows}])"
-

@@ -2,22 +2,18 @@
 
 The access point knows every client's span and, per transmission, picks the
 nonzero codeword that is innovative for the largest number of unsatisfied
-clients. Spans are held as 2^k-bit masks, so the codewords that at least c
+clients. A joint state is three RREF row tuples (gf2.rref_insert) plus k; a
+client is unsatisfied while it holds fewer than k rows. For selection the
+spans are held as 2^k-bit masks, so the codewords that at least c
 spans miss form one mask per level c, built with a few bitwise operations;
 the answer is the best nonempty level, and the tie-break picks a set bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf2 import ClientDecoder, CodingVector, span_mask
+from .gf2 import MAX_DIM, MAX_MASK_DIM, span_mask
 
 N_CLIENTS = 3
-
-
-class AllClientsSatisfiedError(RuntimeError):
-    """Nothing to send: every client already has full rank."""
 
 
 class RankProfileError(ValueError):
@@ -28,32 +24,19 @@ class CoverageSearchError(RuntimeError):
     """Codeword search found no all-client innovative codeword where one must exist."""
 
 
-@dataclass
-class NetworkState:
-    """Joint state of the three client decoders; the simulator's ground truth."""
+def _unsatisfied_spans(clients, k: int) -> list[int]:
+    """Span masks of the clients holding fewer than k rows, in client order.
 
-    k: int
-    clients: tuple[ClientDecoder, ClientDecoder, ClientDecoder]
-
-    def __post_init__(self):
-        if len(self.clients) != N_CLIENTS:
-            raise ValueError(f"exactly {N_CLIENTS} clients required, got {len(self.clients)}")
-        if any(c.k != self.k for c in self.clients):
-            raise ValueError("all clients must share dimension k")
-        self.clients = tuple(self.clients)
-
-    @classmethod
-    def empty(cls, k: int) -> "NetworkState":
-        return cls(k, tuple(ClientDecoder(k) for _ in range(N_CLIENTS)))
-
-    def ranks(self) -> tuple[int, int, int]:
-        return tuple(c.rank for c in self.clients)
-
-    def unsatisfied(self) -> list[int]:
-        return [i for i, c in enumerate(self.clients) if not c.is_satisfied()]
-
-    def all_satisfied(self) -> bool:
-        return all(c.is_satisfied() for c in self.clients)
+    The one input check of the Lemma 1 functions: three clients, k in
+    [1, MAX_MASK_DIM] and every row inside GF(2)^k.
+    """
+    if len(clients) != N_CLIENTS:
+        raise ValueError(f"exactly {N_CLIENTS} clients required, got {len(clients)}")
+    if not 1 <= k <= MAX_MASK_DIM:
+        raise ValueError(f"k must be in [1, {MAX_MASK_DIM}] for span masks, got {k}")
+    if any(row >> k for rows in clients for row in rows):
+        raise ValueError(f"a row has a bit at or above k={k}")
+    return [span_mask(rows, k) for rows in clients if len(rows) < k]
 
 
 def _coverage_levels(nonzero, misses: list) -> list:
@@ -81,19 +64,18 @@ def _scan_spans(spans: list[int], k: int, tie_break: str) -> tuple[int, int]:
     return ties.bit_length() - 1, covered
 
 
-def greedy_codeword(state: NetworkState, tie_break: str = "smallest") -> tuple[CodingVector, int]:
-    """Codeword innovative for the most unsatisfied clients, with its coverage.
+def greedy_codeword(rows, k: int, tie_break: str = "smallest") -> tuple[int, int]:
+    """Codeword bits innovative for the most unsatisfied clients, with its coverage.
 
     Ties are broken by the numerically smallest bit pattern ("smallest", the
     default) or the largest ("largest"). The expected transmission count does
     not depend on the tie-break at k=2 and measurably does at k=3, as
     "largest" shows.
     """
-    spans = [span_mask(state.clients[i].basis, state.k) for i in state.unsatisfied()]
+    spans = _unsatisfied_spans(rows, k)
     if not spans:
-        raise AllClientsSatisfiedError("all clients satisfied")
-    bits, covered = _scan_spans(spans, state.k, tie_break)
-    return CodingVector(bits, state.k), covered
+        raise ValueError("all clients satisfied: nothing to send")
+    return _scan_spans(spans, k, tie_break)
 
 
 def sufficient_by_counting(ranks, k: int) -> bool:
@@ -108,8 +90,8 @@ def sufficient_by_counting(ranks, k: int) -> bool:
     return total < (1 << k) - 1
 
 
-def lemma1_construct(state: NetworkState) -> CodingVector:
-    """Codeword innovative for all three clients at rank profile (k-1, k-1, k-2).
+def lemma1_construct(rows, k: int) -> int:
+    """Codeword bits innovative for all three clients at rank profile (k-1, k-1, k-2).
 
     Existence argument, in matrix terms: append the unknown vector w as a last
     row to each client matrix. In the two rank-(k-1) matrices some pair of
@@ -129,44 +111,38 @@ def lemma1_construct(state: NetworkState) -> CodingVector:
     This implementation realizes the guarantee by greedy selection on the
     span masks: the smallest w outside the union of the three spans.
     """
-    profile = tuple(sorted(state.ranks()))
-    k = state.k
-    if k < 2 or profile != (k - 2, k - 1, k - 1):
+    spans = _unsatisfied_spans(rows, k)
+    ranks = tuple(len(r) for r in rows)
+    if tuple(sorted(ranks)) != (k - 2, k - 1, k - 1):
         raise RankProfileError(
-            f"rank profile {state.ranks()} is not a permutation of (k-1, k-1, k-2) for k={k}")
-    spans = [span_mask(c.basis, k) for c in state.clients]
+            f"rank profile {ranks} is not a permutation of (k-1, k-1, k-2) for k={k}")
     bits, covered = _scan_spans(spans, k, "smallest")
     if covered != N_CLIENTS:
-        raise CoverageSearchError(
-            f"no all-client innovative codeword at ranks {state.ranks()}, k={k}")
-    return CodingVector(bits, k)
+        raise CoverageSearchError(f"no all-client innovative codeword at ranks {ranks}, k={k}")
+    return bits
 
 
-def lemma1_counterexample(k: int) -> NetworkState:
-    """State with all ranks k-1 where no codeword is innovative for all three.
+def lemma1_counterexample(k: int) -> tuple[tuple[int, ...], ...]:
+    """RREF rows of three rank-(k-1) clients where no codeword is innovative for all.
 
     The spans are the hyperplanes cut out by the functionals w_2, w_1 and
     w_1 + w_2; a vector outside all three would need w_1 = w_2 = 1 and
     w_1 + w_2 = 1 at once. For k=2 this is exactly the state where the
     clients hold p1, p2 and p1+p2.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    tail = [1 << j for j in range(2, k)]
-    bases = [
-        [0b01] + tail,  # w_2 = 0: holds p1
-        [0b10] + tail,  # w_1 = 0: holds p2
-        [0b11] + tail,  # w_1 + w_2 = 0: holds p1+p2
-    ]
-    clients = tuple(
-        ClientDecoder.from_vectors(k, rows) for rows in bases
+    if not 2 <= k <= MAX_DIM:
+        raise ValueError(f"k must be in [2, {MAX_DIM}], got {k}")
+    tail = tuple(1 << j for j in range(2, k))
+    return (
+        (0b01,) + tail,  # w_2 = 0: holds p1
+        (0b10,) + tail,  # w_1 = 0: holds p2
+        (0b11,) + tail,  # w_1 + w_2 = 0: holds p1+p2
     )
-    return NetworkState(k, clients)
 
 
-def distinct_dependent_count(state: NetworkState) -> int:
+def distinct_dependent_count(rows, k: int) -> int:
     """Number of distinct nonzero codewords dependent for some unsatisfied client."""
     union = 0
-    for i in state.unsatisfied():
-        union |= span_mask(state.clients[i].basis, state.k)
+    for span in _unsatisfied_spans(rows, k):
+        union |= span
     return max(union.bit_count() - 1, 0)  # the zero vector is no codeword

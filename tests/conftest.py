@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from xorcast.gf2 import ClientDecoder
-from xorcast.policy import NetworkState
+from xorcast.gf2 import rref_insert
 
 
 @pytest.fixture
@@ -24,16 +23,25 @@ def span_of_rows(rows) -> frozenset[int]:
     return frozenset(span)
 
 
-def random_decoder(k: int, rank: int, rng: random.Random) -> ClientDecoder:
-    """Decoder with exactly the requested rank, from random inserts."""
-    dec = ClientDecoder(k)
-    while dec.rank < rank:
-        dec.insert(rng.randrange(1, 1 << k))
-    return dec
+def fold_rows(vectors) -> tuple[int, ...]:
+    """The RREF row tuple of the span of vectors, folded through rref_insert."""
+    rows = ()
+    for v in vectors:
+        rows = rref_insert(rows, v) or rows
+    return rows
 
 
-def random_state(k: int, ranks, rng: random.Random) -> NetworkState:
-    return NetworkState(k, tuple(random_decoder(k, r, rng) for r in ranks))
+def random_rows(k: int, rank: int, rng: random.Random) -> tuple[int, ...]:
+    """RREF rows of exactly the requested rank, from random nonzero inserts."""
+    rows = ()
+    while len(rows) < rank:
+        rows = rref_insert(rows, rng.randrange(1, 1 << k)) or rows
+    return rows
+
+
+def random_state(k: int, ranks, rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """One random_rows tuple per rank, drawn in order."""
+    return tuple(random_rows(k, r, rng) for r in ranks)
 
 
 def run_fresh(code: str) -> str:

@@ -7,9 +7,7 @@ points.
 import random
 
 from xorcast import bounds, cli, markov, policy, sim
-from xorcast.gf2 import ClientDecoder
-
-from conftest import span_of_rows
+from conftest import random_state, span_of_rows
 
 GRID = [round(0.05 * i, 2) for i in range(1, 19)]  # 0.05 .. 0.90
 
@@ -139,15 +137,9 @@ def test_criterion_07_lemma_guarantee_random_instances():
         for _ in range(10_000):
             ranks = [k - 1, k - 1, k - 2]
             rng.shuffle(ranks)
-            decoders = []
-            for r in ranks:
-                dec = ClientDecoder(k)
-                while dec.rank < r:
-                    dec.insert(rng.randrange(1, 1 << k))
-                decoders.append(dec)
-            state = policy.NetworkState(k, tuple(decoders))
-            w = policy.lemma1_construct(state)
-            assert all(w.bits not in span_of_rows(c.basis) for c in state.clients)
+            state = random_state(k, ranks, rng)
+            w = policy.lemma1_construct(state, k)
+            assert all(w not in span_of_rows(rows) for rows in state)
             checked += 1
     report(7, checked == 60_000,
            f"{checked} random (k-1,k-1,k-2) instances all admit an all-client codeword")
@@ -157,9 +149,9 @@ def test_criterion_08_counterexample_coverage():
     bad = []
     for k in range(2, 11):
         state = policy.lemma1_counterexample(k)
-        spans = [span_of_rows(c.basis) for c in state.clients]
+        spans = [span_of_rows(rows) for rows in state]
         best = max(sum(1 for sp in spans if w not in sp) for w in range(1, 1 << k))
-        if best != 2 or state.ranks() != (k - 1,) * 3:
+        if best != 2 or [len(rows) for rows in state] != [k - 1] * 3:
             bad.append(f"k={k}: coverage={best}")
     report(8, not bad, f"all-(k-1) counterexample caps coverage at 2 for k=2..10; bad={bad}")
 

@@ -1,130 +1,85 @@
-import pytest
+from xorcast.gf2 import rref_insert, rref_reduce
 
-from xorcast.gf2 import (
-    ClientDecoder,
-    CodingVector,
-    DimensionMismatchError,
-    InsertResult,
-    rref_reduce,
-)
-
-from conftest import span_of_rows
-
-
-def vec(coeffs):
-    """CodingVector from 0/1 coefficients, packet 1 first."""
-    return CodingVector(sum(c << j for j, c in enumerate(coeffs)), len(coeffs))
-
-
-class TestCodingVector:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CodingVector(4, 2)  # bits out of range
-        with pytest.raises(ValueError):
-            CodingVector(0, 0)  # k too small
-        with pytest.raises(ValueError):
-            CodingVector(0, 64)  # k too large
+from conftest import fold_rows, span_of_rows
 
 
 class TestRank:
+    # a span's rank is the length of its RREF row tuple
     def test_identity_basis(self):
-        assert ClientDecoder.from_vectors(2, [vec([1, 0]), vec([0, 1])]).rank == 2
+        assert len(fold_rows([0b01, 0b10])) == 2
 
     def test_dependent_third_vector(self):
-        assert ClientDecoder.from_vectors(2, [vec([1, 0]), vec([1, 1]), vec([0, 1])]).rank == 2
+        assert len(fold_rows([0b01, 0b11, 0b10])) == 2
 
     def test_empty(self):
-        assert ClientDecoder.from_vectors(2, []).rank == 0
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            ClientDecoder.from_vectors(2, [vec([1, 0]), vec([1, 0, 0])])
+        assert fold_rows([]) == ()
 
 
 class TestContains:
-    # span membership is rref_reduce against the decoder's basis reaching 0
+    # span membership is rref_reduce against the rows reaching 0
     def test_basis_member(self):
-        dec = ClientDecoder.from_vectors(2, [vec([1, 0])])
-        assert rref_reduce(dec.basis, 0b01) == 0
-        assert rref_reduce(dec.basis, 0b11) != 0
+        rows = fold_rows([0b01])
+        assert rref_reduce(rows, 0b01) == 0
+        assert rref_reduce(rows, 0b11) != 0
 
     def test_full_span(self):
-        dec = ClientDecoder.from_vectors(2, [vec([1, 0]), vec([0, 1])])
-        assert rref_reduce(dec.basis, 0b11) == 0
+        assert rref_reduce(fold_rows([0b01, 0b10]), 0b11) == 0
 
     def test_zero_always_contained(self):
-        assert rref_reduce(ClientDecoder(3).basis, 0) == 0
-
-    def test_dimension_mismatch(self):
-        dec = ClientDecoder(2)
-        with pytest.raises(DimensionMismatchError):
-            dec.insert(vec([1, 0, 0]))
-        with pytest.raises(DimensionMismatchError):
-            dec.insert(0b100)
+        assert rref_reduce((), 0) == 0
+        assert rref_reduce(fold_rows([0b011, 0b110]), 0) == 0
 
 
 class TestInsert:
+    # rref_insert returns the grown tuple, or None when the vector is dependent
     def test_innovative(self):
-        dec = ClientDecoder.from_vectors(2, [vec([1, 0])])
-        assert dec.insert(vec([1, 1])) is InsertResult.INNOVATIVE
-        assert dec.rank == 2
+        assert rref_insert((0b01,), 0b11) == (0b01, 0b10)
 
     def test_dependent(self):
-        dec = ClientDecoder.from_vectors(2, [vec([1, 0])])
-        assert dec.insert(vec([1, 0])) is InsertResult.DEPENDENT
-        assert dec.rank == 1
+        assert rref_insert((0b01,), 0b01) is None
 
     def test_zero_vector_dependent(self):
-        dec = ClientDecoder(2)
-        assert dec.insert(0) is InsertResult.DEPENDENT
-        assert dec.rank == 0
+        assert rref_insert((), 0) is None
+        assert rref_insert(fold_rows([0b101, 0b010]), 0) is None
 
 
 class TestDecoderInvariants:
     def test_rank_matches_scratch_elimination(self, rng):
         for _ in range(300):
             k = rng.randrange(1, 9)
-            dec = ClientDecoder(k)
+            rows = ()
             raw = []
             for _ in range(rng.randrange(0, 2 * k + 2)):
                 bits = rng.randrange(0, 1 << k)
                 raw.append(bits)
-                before = dec.rank
-                outcome = dec.insert(bits)
-                assert dec.rank >= before  # rank never decreases
-                assert (outcome is InsertResult.INNOVATIVE) == (dec.rank == before + 1)
-            assert len(span_of_rows(raw)) == 1 << dec.rank
+                grown = rref_insert(rows, bits)
+                # rank grows by exactly one when innovative, else stays
+                assert grown is None or len(grown) == len(rows) + 1
+                rows = grown or rows
+            assert len(span_of_rows(raw)) == 1 << len(rows)
 
     def test_contains_iff_insert_dependent(self, rng):
         for _ in range(200):
             k = rng.randrange(1, 7)
-            dec = ClientDecoder(k)
-            for _ in range(rng.randrange(0, 2 * k)):
-                dec.insert(rng.randrange(0, 1 << k))
+            rows = fold_rows(rng.randrange(0, 1 << k) for _ in range(rng.randrange(0, 2 * k)))
             w = rng.randrange(0, 1 << k)
-            in_span = w in span_of_rows(dec.basis)
-            assert (rref_reduce(dec.basis, w) == 0) == in_span
-            probe = ClientDecoder.from_vectors(k, dec.basis)
-            assert (probe.insert(w) is InsertResult.DEPENDENT) == in_span
+            in_span = w in span_of_rows(rows)
+            assert (rref_reduce(rows, w) == 0) == in_span
+            assert (rref_insert(rows, w) is None) == in_span
 
     def test_span_size_is_power_of_rank(self, rng):
         for _ in range(200):
             k = rng.randrange(1, 8)
-            dec = ClientDecoder(k)
-            for _ in range(rng.randrange(0, 2 * k)):
-                dec.insert(rng.randrange(0, 1 << k))
-            span = span_of_rows(dec.basis)
-            assert len(span) == 1 << dec.rank
-            assert len(span - {0}) == (1 << dec.rank) - 1
+            rows = fold_rows(rng.randrange(0, 1 << k) for _ in range(rng.randrange(0, 2 * k)))
+            span = span_of_rows(rows)
+            assert len(span) == 1 << len(rows)
+            assert len(span - {0}) == (1 << len(rows)) - 1
 
     def test_rref_shape(self, rng):
         # pivots strictly increasing, each pivot clear in every other row
         for _ in range(200):
             k = rng.randrange(1, 9)
-            dec = ClientDecoder(k)
-            for _ in range(3 * k):
-                dec.insert(rng.randrange(0, 1 << k))
-            rows = dec.basis
+            rows = fold_rows(rng.randrange(0, 1 << k) for _ in range(3 * k))
             pivots = [row & -row for row in rows]
             assert pivots == sorted(pivots)
             assert len(set(pivots)) == len(pivots)

@@ -2,10 +2,8 @@ import itertools
 
 import pytest
 
-from xorcast.gf2 import ClientDecoder, span_mask
+from xorcast.gf2 import MAX_DIM, MAX_MASK_DIM, span_mask
 from xorcast.policy import (
-    AllClientsSatisfiedError,
-    NetworkState,
     RankProfileError,
     _scan_spans,
     distinct_dependent_count,
@@ -15,17 +13,23 @@ from xorcast.policy import (
     sufficient_by_counting,
 )
 
-from conftest import random_decoder, random_state, span_of_rows
+from conftest import fold_rows, random_rows, random_state, span_of_rows
+
+EMPTY = ((), (), ())
 
 
-def state_from_vectors(k, *clients):
-    return NetworkState(k, tuple(ClientDecoder.from_vectors(k, vs) for vs in clients))
+def state_from_vectors(*clients):
+    return tuple(fold_rows(vs) for vs in clients)
 
 
-def brute_best_coverage(state):
+def unsatisfied(state, k):
+    return [rows for rows in state if len(rows) < k]
+
+
+def brute_best_coverage(state, k):
     """Independent scan: best number of unsatisfied clients a codeword can cover."""
-    spans = [span_of_rows(state.clients[i].basis) for i in state.unsatisfied()]
-    return max(sum(1 for sp in spans if w not in sp) for w in range(1, 1 << state.k))
+    spans = [span_of_rows(rows) for rows in unsatisfied(state, k)]
+    return max(sum(1 for sp in spans if w not in sp) for w in range(1, 1 << k))
 
 
 def exhaustive_scan(spans, k, tie_break):
@@ -48,26 +52,20 @@ def all_subspaces(k):
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def decoder_with_span(k, span):
-    dec = ClientDecoder(k)
-    for v in sorted(span):
-        if v:
-            dec.insert(v)
-    return dec
+def rows_with_span(span):
+    return fold_rows(sorted(span))
 
 
 class TestGreedyCodeword:
     def test_stuck_k2_state_covers_two(self):
         # one client holds p1, another p2, the third p1+p2
-        st = state_from_vectors(2, [0b01], [0b10], [0b11])
-        w, covered = greedy_codeword(st)
+        st = state_from_vectors([0b01], [0b10], [0b11])
+        w, covered = greedy_codeword(st, 2)
         assert covered == 2
-        assert w.bits in (1, 2, 3)
+        assert w in (1, 2, 3)
 
     def test_empty_clients_smallest_pattern(self):
-        st = NetworkState.empty(2)
-        w, covered = greedy_codeword(st)
-        assert (w.bits, covered) == (1, 3)
+        assert greedy_codeword(EMPTY, 2) == (1, 3)
 
     def test_rank_221_always_covers_three(self, rng):
         # guaranteed by the (k-1, k-1, k-2) profile result
@@ -75,7 +73,7 @@ class TestGreedyCodeword:
             ranks = [2, 2, 1]
             rng.shuffle(ranks)
             st = random_state(3, ranks, rng)
-            _, covered = greedy_codeword(st)
+            _, covered = greedy_codeword(st, 3)
             assert covered == 3
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -92,47 +90,43 @@ class TestGreedyCodeword:
                     for c in low:
                         spans = [a, b]
                         spans.insert(pos, c)
-                        st = NetworkState(k, tuple(decoder_with_span(k, sp)
-                                                   for sp in spans))
-                        _, covered = greedy_codeword(st)
+                        st = tuple(rows_with_span(sp) for sp in spans)
+                        _, covered = greedy_codeword(st, k)
                         assert covered == 3
 
     def test_matches_brute_force_coverage(self, rng):
         for _ in range(200):
             k = rng.randrange(2, 5)
             st = random_state(k, [rng.randrange(0, k + 1) for _ in range(3)], rng)
-            if st.all_satisfied():
+            if not unsatisfied(st, k):
                 continue
-            _, covered = greedy_codeword(st)
-            assert covered == brute_best_coverage(st)
+            _, covered = greedy_codeword(st, k)
+            assert covered == brute_best_coverage(st, k)
 
     def test_deterministic(self, rng):
         for _ in range(50):
             st = random_state(3, [rng.randrange(0, 3) for _ in range(3)], rng)
-            w1, c1 = greedy_codeword(st)
-            w2, c2 = greedy_codeword(st)
-            assert (w1, c1) == (w2, c2)
+            assert greedy_codeword(st, 3) == greedy_codeword(st, 3)
 
     def test_tie_breaks(self):
-        st = NetworkState.empty(2)
-        assert greedy_codeword(st, tie_break="smallest")[0].bits == 1
-        assert greedy_codeword(st, tie_break="largest")[0].bits == 3
+        assert greedy_codeword(EMPTY, 2, tie_break="smallest")[0] == 1
+        assert greedy_codeword(EMPTY, 2, tie_break="largest")[0] == 3
         with pytest.raises(ValueError):
-            greedy_codeword(st, tie_break="random")
+            greedy_codeword(EMPTY, 2, tie_break="random")
         with pytest.raises(ValueError):
-            greedy_codeword(st, tie_break="bogus")
+            greedy_codeword(EMPTY, 2, tie_break="bogus")
 
     def test_all_satisfied_error(self):
-        st = state_from_vectors(2, [1, 2], [1, 2], [1, 2])
-        with pytest.raises(AllClientsSatisfiedError):
-            greedy_codeword(st)
+        st = state_from_vectors([1, 2], [1, 2], [1, 2])
+        with pytest.raises(ValueError, match="all clients satisfied"):
+            greedy_codeword(st, 2)
 
     def test_coverage_at_least_one(self, rng):
         for _ in range(100):
             st = random_state(3, [rng.randrange(0, 4) for _ in range(3)], rng)
-            if st.all_satisfied():
+            if not unsatisfied(st, 3):
                 continue
-            assert greedy_codeword(st)[1] >= 1
+            assert greedy_codeword(st, 3)[1] >= 1
 
 
 class TestScanSpans:
@@ -141,13 +135,13 @@ class TestScanSpans:
         # ranks run up to k, so full-rank spans (missed by no w) occur too
         for _ in range(1500):
             k = rng.randrange(1, 9)
-            decoders = [random_decoder(k, rng.randrange(0, k + 1), rng)
-                        for _ in range(rng.randrange(1, 4))]
-            masks = [span_mask(d.basis, k) for d in decoders]
-            sets = [span_of_rows(d.basis) for d in decoders]
+            clients = [random_rows(k, rng.randrange(0, k + 1), rng)
+                       for _ in range(rng.randrange(1, 4))]
+            masks = [span_mask(rows, k) for rows in clients]
+            sets = [span_of_rows(rows) for rows in clients]
             got = _scan_spans(masks, k, tie_break)
             want = exhaustive_scan(sets, k, tie_break)
-            assert got == want, (k, [d.basis for d in decoders])
+            assert got == want, (k, clients)
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_full_rank_spans_cover_nothing(self, k):
@@ -158,8 +152,7 @@ class TestScanSpans:
     def test_counterexample_family_covers_two(self):
         # three hyperplanes through one codimension-2 subspace cover GF(2)^k
         for k in range(2, 9):
-            st = lemma1_counterexample(k)
-            masks = [span_mask(c.basis, k) for c in st.clients]
+            masks = [span_mask(rows, k) for rows in lemma1_counterexample(k)]
             assert _scan_spans(masks, k, "smallest")[1] == 2
 
 
@@ -183,112 +176,127 @@ class TestSufficientByCounting:
         for k in (2, 3):
             subs = all_subspaces(k)
             for spans in itertools.product(subs, repeat=3):
-                decs = tuple(decoder_with_span(k, sp) for sp in spans)
-                st = NetworkState(k, decs)
-                if st.all_satisfied():
+                st = tuple(rows_with_span(sp) for sp in spans)
+                if not unsatisfied(st, k):
                     continue
-                ranks = st.ranks()
-                if sufficient_by_counting(ranks, k):
-                    _, covered = greedy_codeword(st)
-                    assert covered == len(st.unsatisfied()), (k, spans)
+                if sufficient_by_counting([len(rows) for rows in st], k):
+                    _, covered = greedy_codeword(st, k)
+                    assert covered == len(unsatisfied(st, k)), (k, spans)
 
     def test_implies_full_coverage_random_k4(self, rng):
         for _ in range(3000):
             st = random_state(4, [rng.randrange(0, 5) for _ in range(3)], rng)
-            if st.all_satisfied():
+            if not unsatisfied(st, 4):
                 continue
-            if sufficient_by_counting(st.ranks(), 4):
-                _, covered = greedy_codeword(st)
-                assert covered == len(st.unsatisfied())
+            if sufficient_by_counting([len(rows) for rows in st], 4):
+                _, covered = greedy_codeword(st, 4)
+                assert covered == len(unsatisfied(st, 4))
 
 
 class TestLemma1Construct:
     def test_k2_unique_vector(self):
-        st = state_from_vectors(2, [0b01], [0b10], [])
-        assert lemma1_construct(st).bits == 0b11
+        st = state_from_vectors([0b01], [0b10], [])
+        assert lemma1_construct(st, 2) == 0b11
 
     def test_k3_example(self):
-        st = state_from_vectors(3, [1, 2], [2, 4], [7])
-        w = lemma1_construct(st)
-        assert all(w.bits not in span_of_rows(c.basis) for c in st.clients)
+        st = state_from_vectors([1, 2], [2, 4], [7])
+        w = lemma1_construct(st, 3)
+        assert all(w not in span_of_rows(rows) for rows in st)
 
     def test_worked_k4_instance(self):
         # the instance documented in the docstring
-        st = state_from_vectors(4, [0b0001, 0b0010, 0b0100],
+        st = state_from_vectors([0b0001, 0b0010, 0b0100],
                                 [0b0010, 0b0100, 0b1000],
                                 [0b1111, 0b1010])
-        w = lemma1_construct(st)
-        assert w.bits == 0b1001
-        assert all(w.bits not in span_of_rows(c.basis) for c in st.clients)
+        w = lemma1_construct(st, 4)
+        assert w == 0b1001
+        assert all(w not in span_of_rows(rows) for rows in st)
 
     def test_random_k6_profile(self, rng):
         for _ in range(300):
             ranks = [5, 5, 4]
             rng.shuffle(ranks)
             st = random_state(6, ranks, rng)
-            w = lemma1_construct(st)
-            assert all(w.bits not in span_of_rows(c.basis) for c in st.clients)
+            w = lemma1_construct(st, 6)
+            assert all(w not in span_of_rows(rows) for rows in st)
 
     def test_rank_profile_rejected(self, rng):
         st = random_state(3, [2, 2, 2], rng)
         with pytest.raises(RankProfileError):
-            lemma1_construct(st)
+            lemma1_construct(st, 3)
         st = random_state(3, [1, 1, 1], rng)
         with pytest.raises(RankProfileError):
-            lemma1_construct(st)
+            lemma1_construct(st, 3)
 
 
 class TestLemma1Counterexample:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_max_coverage_exactly_two(self, k):
         st = lemma1_counterexample(k)
-        assert st.ranks() == (k - 1,) * 3
-        spans = [span_of_rows(c.basis) for c in st.clients]
+        assert all(len(rows) == k - 1 for rows in st)
+        assert all(rows == fold_rows(rows) for rows in st)  # canonical RREF
+        spans = [span_of_rows(rows) for rows in st]
         best = max(sum(1 for sp in spans if w not in sp) for w in range(1, 1 << k))
         assert best == 2
 
     def test_k2_is_the_three_codeword_state(self):
         st = lemma1_counterexample(2)
-        assert st.clients[0].basis == (0b01,)
-        assert st.clients[1].basis == (0b10,)
-        assert st.clients[2].basis == (0b11,)
-        assert distinct_dependent_count(st) == 3
+        assert st == ((0b01,), (0b10,), (0b11,))
+        assert distinct_dependent_count(st, 2) == 3
 
     def test_k3_saturates_dependent_set(self):
         # all rank 2 and every nonzero vector dependent for somebody
         st = lemma1_counterexample(3)
-        assert st.ranks() == (2, 2, 2)
-        assert distinct_dependent_count(st) == 7
+        assert [len(rows) for rows in st] == [2, 2, 2]
+        assert distinct_dependent_count(st, 3) == 7
 
     def test_k_below_two_rejected(self):
+        for k in (1, 0, -1):
+            with pytest.raises(ValueError):
+                lemma1_counterexample(k)
+
+    def test_k_above_max_dim_rejected(self):
         with pytest.raises(ValueError):
-            lemma1_counterexample(1)
+            lemma1_counterexample(MAX_DIM + 1)
 
 
 class TestDistinctDependentCount:
     def test_stuck_k2(self):
-        st = state_from_vectors(2, [0b01], [0b10], [0b11])
-        assert distinct_dependent_count(st) == 3
+        st = state_from_vectors([0b01], [0b10], [0b11])
+        assert distinct_dependent_count(st, 2) == 3
 
     def test_empty(self):
-        assert distinct_dependent_count(NetworkState.empty(3)) == 0
+        assert distinct_dependent_count(EMPTY, 3) == 0
 
     def test_all_satisfied(self, rng):
         st = random_state(3, [3, 3, 3], rng)
-        assert distinct_dependent_count(st) == 0
+        assert distinct_dependent_count(st, 3) == 0
 
     def test_matches_direct_enumeration(self, rng):
         for _ in range(300):
             k = rng.randrange(1, 5)
             st = random_state(k, [rng.randrange(0, k + 1) for _ in range(3)], rng)
             direct = set()
-            for i in st.unsatisfied():
-                direct |= span_of_rows(st.clients[i].basis) - {0}
-            assert distinct_dependent_count(st) == len(direct)
+            for rows in unsatisfied(st, k):
+                direct |= span_of_rows(rows) - {0}
+            assert distinct_dependent_count(st, k) == len(direct)
 
 
-def test_network_state_validation():
-    with pytest.raises(ValueError):
-        NetworkState(2, (ClientDecoder(2), ClientDecoder(2)))
-    with pytest.raises(ValueError):
-        NetworkState(2, (ClientDecoder(2), ClientDecoder(2), ClientDecoder(3)))
+BAD_INPUTS = {
+    "k zero": (EMPTY, 0),
+    "k negative": (EMPTY, -1),
+    "k above mask range": (EMPTY, MAX_MASK_DIM + 1),
+    "row at bit k": (((1 << 3,), (), ()), 3),
+    "row above k": (((), (0b1, 0b1 << 7), ()), 3),
+    "negative row": (((), (), (-1,)), 3),
+    "two clients": (((), ()), 3),
+}
+
+
+@pytest.mark.parametrize("fn", [greedy_codeword, lemma1_construct, distinct_dependent_count])
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_k_or_row_rejected(fn, case):
+    # the tuple entry points reject what would otherwise fail deep in the mask code
+    rows, k = BAD_INPUTS[case]
+    with pytest.raises(ValueError, match="clients required|k must be in|at or above k"):
+        fn(rows, k)
