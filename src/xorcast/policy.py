@@ -28,14 +28,22 @@ def _unsatisfied_spans(clients, k: int) -> list[int]:
     """Span masks of the clients holding fewer than k rows, in client order.
 
     The one input check of the Lemma 1 functions: three clients, k in
-    [1, MAX_MASK_DIM] and every row inside GF(2)^k.
+    [1, MAX_MASK_DIM], every row inside GF(2)^k and every client's rows in the
+    fully reduced form rref_insert keeps, so that len(rows) is the rank.
     """
     if len(clients) != N_CLIENTS:
         raise ValueError(f"exactly {N_CLIENTS} clients required, got {len(clients)}")
     if not 1 <= k <= MAX_MASK_DIM:
         raise ValueError(f"k must be in [1, {MAX_MASK_DIM}] for span masks, got {k}")
-    if any(row >> k for rows in clients for row in rows):
-        raise ValueError(f"a row has a bit at or above k={k}")
+    for rows in clients:
+        if any(row >> k for row in rows):
+            raise ValueError(f"a row has a bit at or above k={k}")
+        pivots = [row & -row for row in rows]
+        pivot_bits = sum(pivots)
+        # nonzero rows, ascending pivots, and no row holding another's pivot
+        if pivots != sorted(set(pivots) - {0}) or any(
+                row & pivot_bits != piv for row, piv in zip(rows, pivots)):
+            raise ValueError(f"rows {tuple(rows)} are not in fully reduced RREF")
     return [span_mask(rows, k) for rows in clients if len(rows) < k]
 
 

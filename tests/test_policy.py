@@ -52,10 +52,6 @@ def all_subspaces(k):
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def rows_with_span(span):
-    return fold_rows(sorted(span))
-
-
 class TestGreedyCodeword:
     def test_stuck_k2_state_covers_two(self):
         # one client holds p1, another p2, the third p1+p2
@@ -90,7 +86,7 @@ class TestGreedyCodeword:
                     for c in low:
                         spans = [a, b]
                         spans.insert(pos, c)
-                        st = tuple(rows_with_span(sp) for sp in spans)
+                        st = state_from_vectors(*spans)
                         _, covered = greedy_codeword(st, k)
                         assert covered == 3
 
@@ -176,7 +172,7 @@ class TestSufficientByCounting:
         for k in (2, 3):
             subs = all_subspaces(k)
             for spans in itertools.product(subs, repeat=3):
-                st = tuple(rows_with_span(sp) for sp in spans)
+                st = state_from_vectors(*spans)
                 if not unsatisfied(st, k):
                     continue
                 if sufficient_by_counting([len(rows) for rows in st], k):
@@ -290,13 +286,18 @@ BAD_INPUTS = {
     "row above k": (((), (0b1, 0b1 << 7), ()), 3),
     "negative row": (((), (), (-1,)), 3),
     "two clients": (((), ()), 3),
+    "zero row": (((0,), (), ()), 3),
+    "dependent rows": (((0b1, 0b1), (), ()), 2),
+    "descending pivots": (((), (0b10, 0b01), ()), 3),
+    "row holds another pivot": (((), (), (0b11, 0b10)), 3),
 }
 
 
 @pytest.mark.parametrize("fn", [greedy_codeword, lemma1_construct, distinct_dependent_count])
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_k_or_row_rejected(fn, case):
-    # the tuple entry points reject what would otherwise fail deep in the mask code
+    # the tuple entry points reject what would otherwise fail deep in the mask
+    # code, or give a wrong answer from a row count that is not the rank
     rows, k = BAD_INPUTS[case]
-    with pytest.raises(ValueError, match="clients required|k must be in|at or above k"):
+    with pytest.raises(ValueError, match="clients required|k must be in|at or above k|not in fully reduced"):
         fn(rows, k)
