@@ -7,6 +7,7 @@ points.
 import random
 
 from xorcast import bounds, cli, markov, policy, sim
+
 from conftest import random_state, span_of_rows
 
 GRID = [round(0.05 * i, 2) for i in range(1, 19)]  # 0.05 .. 0.90
