@@ -62,8 +62,8 @@ def _rl_vectors(tx_base: np.ndarray, config: ExperimentConfig, dtype) -> np.ndar
     return w.astype(dtype, copy=False)
 
 
-def _drive(config: ExperimentConfig, lo: int, hi: int, make_state, step) -> np.ndarray:
-    """Run trials lo..hi-1 to completion; returns their transmission counts.
+def _drive(config: ExperimentConfig, lo: int, out: np.ndarray, make_state, step) -> None:
+    """Run trials lo..lo+len(out)-1 to completion, writing their transmission counts to out.
 
     make_state(n) returns the state of n fresh trials, arrays whose first axis
     is the row; one pool of at most _BLOCK rows and _STATE_BYTES of state (as
@@ -71,42 +71,42 @@ def _drive(config: ExperimentConfig, lo: int, hi: int, make_state, step) -> np.n
     state) advances every row in place, given the transmission hashes h and the
     three per-client reception masks recv, and returns the mask of rows whose
     trial is now done. A done row takes the next pending trial: one started at
-    step t0 has base _trial_base - t0 * _GAMMA_TX and count -t0, so step t is its
-    transmission t - t0. Once none is pending, done rows are compacted out.
+    step start has base _trial_base - start * _GAMMA_TX, so step t is its
+    transmission t - start. Once none is pending, done rows are compacted out.
     """
-    trials, cap, s = hi - lo, config.max_tx_per_trial, 1.0 - config.p
+    trials, cap, s = len(out), config.max_tx_per_trial, 1.0 - config.p
     rows = min(trials, _BLOCK, max(1, _STATE_BYTES // sum(a.nbytes for a in make_state(1))))
-    tx_out, idx = np.zeros(trials, dtype=np.int64), np.arange(rows)
+    idx, start = np.arange(rows), np.zeros(rows, dtype=np.int64)
     base = _trial_base_np(config.master_seed, (idx + lo).astype(np.uint64))
     state, t, started, oldest = make_state(rows), 0, rows, 0
     while idx.size:
         # no row started before step oldest; the lowest trial left started first
-        if t - oldest >= cap and t - (oldest := -int(tx_out[idx].max())) >= cap:
+        if t - oldest >= cap and t - (oldest := int(start.min())) >= cap:
             raise TransmissionCapError(lo + int(idx.min()), cap)
         h = _tx_base_np(base, t)
         recv = [_draw_np(h, c) < s for c in range(3)]
         done = step(h, recv, state)
         t += 1
-        if done.any():
-            tx_out[idx[done]] += t
+        ended = np.flatnonzero(done)  # gathers by index, far cheaper than by a mask
+        if ended.size:
+            out[idx[ended]] = t - start[ended]  # at most cap, which fits out's int32
             if started < trials:
-                free = np.flatnonzero(done)[:trials - started]
+                free = ended[:trials - started]
                 done[free] = False
                 idx[free] = fresh = np.arange(started, started + free.size)
                 base[free] = (_trial_base_np(config.master_seed, (fresh + lo).astype(np.uint64))
                               + np.uint64((-t * _GAMMA_TX) & _MASK64))
-                tx_out[fresh] = -t
+                start[free] = t
                 for array, init in zip(state, make_state(free.size)):
                     array[free] = init
                 started += free.size
             if started == trials:
-                keep = ~done
-                idx, base = idx[keep], base[keep]
+                keep = np.flatnonzero(~done)
+                idx, base, start = idx[keep], base[keep], start[keep]
                 state = [array[keep] for array in state]
-    return tx_out
 
 
-def _counts_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+def _counts_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
     """mds / bound trials: each client needs a fixed number of receptions."""
     k = config.k
     targets = (k, k, k + 1 if config.policy == "bound" else k)
@@ -116,12 +116,12 @@ def _counts_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
             need[c] -= recv[c]
         return (need[0] <= 0) & (need[1] <= 0) & (need[2] <= 0)
 
-    return _drive(config, lo, hi,
-                  lambda n: [np.full(n, target, dtype=np.int64) for target in targets], step)
+    _drive(config, lo, out,
+           lambda n: [np.full(n, target, dtype=np.int64) for target in targets], step)
 
 
-def _table_block(config: ExperimentConfig, lo: int, hi: int, table: np.ndarray,
-                 absorbing: int) -> np.ndarray:
+def _table_block(config: ExperimentConfig, lo: int, out: np.ndarray, table: np.ndarray,
+                 absorbing: int) -> None:
     """Greedy trials on the joint-state table; state 0 holds no receptions."""
     flat = table.ravel()
 
@@ -133,7 +133,7 @@ def _table_block(config: ExperimentConfig, lo: int, hi: int, table: np.ndarray,
         np.take(flat, key, out=state[0])
         return state[0] == absorbing
 
-    return _drive(config, lo, hi, lambda n: [np.zeros(n, dtype=np.intp)], step)
+    _drive(config, lo, out, lambda n: [np.zeros(n, dtype=np.intp)], step)
 
 
 def _subspace_table(k: int) -> tuple[np.ndarray, int]:
@@ -143,7 +143,7 @@ def _subspace_table(k: int) -> tuple[np.ndarray, int]:
     return np.array(nxt, dtype=np.intp), len(bases) - 1
 
 
-def _rl_table_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+def _rl_table_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
     """rl trials for k <= _TABLE_DIM_LIMIT: each client's span is a table index."""
     nxt, full = _subspace_table(config.k)
     flat = nxt.ravel()
@@ -158,10 +158,10 @@ def _rl_table_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
             np.take(flat, key, out=span[c])
         return (span[0] == full) & (span[1] == full) & (span[2] == full)
 
-    return _drive(config, lo, hi, lambda n: [np.zeros(n, dtype=np.intp) for _ in range(3)], step)
+    _drive(config, lo, out, lambda n: [np.zeros(n, dtype=np.intp) for _ in range(3)], step)
 
 
-def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+def _rl_basis_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
     """rl trials for k > _TABLE_DIM_LIMIT on fully reduced per-client bases.
 
     basis[i, c, j] is trial i's client c row whose pivot (lowest set bit) is bit
@@ -200,11 +200,11 @@ def _rl_basis_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
         rank[pick[new]] += 1
         return (state[1] == k).all(axis=1)
 
-    return _drive(config, lo, hi, lambda n: [np.zeros((n, 3, k), dtype=dtype),
-                                             np.zeros((n, 3), dtype=np.int64)], step)
+    _drive(config, lo, out, lambda n: [np.zeros((n, 3, k), dtype=dtype),
+                                       np.zeros((n, 3), dtype=np.int64)], step)
 
 
-def _mask_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+def _mask_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
     """Greedy trials for _TABLE_DIM_LIMIT < k <= _MASK_DIM_LIMIT on span masks.
 
     span[i, c] holds trial i's client c span as a 2^k-bit mask, bit x at bit x & 63
@@ -246,15 +246,17 @@ def _mask_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
         flat[pick] |= moved
         return (span == full).all(axis=(1, 2))
 
-    return _drive(config, lo, hi, lambda n: [np.tile(zero, (n, 3, 1))], step)
+    _drive(config, lo, out, lambda n: [np.tile(zero, (n, 3, 1))], step)
 
 
-def _scalar_block(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    return np.fromiter((run_trial(config, i) for i in range(lo, hi)), np.int64, hi - lo)
+def _scalar_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
+    for i in range(len(out)):
+        out[i] = run_trial(config, lo + i)
 
 
 def run_slices(config: ExperimentConfig, slices: list[tuple[int, int]]) -> np.ndarray:
-    """Transmission counts of trials lo..hi-1 for each (lo, hi), in order, on config's engine."""
+    """Transmission counts of all of config's trials on its engine, in one int32 array;
+    slices, (lo, hi) pairs that cut 0..config.trials-1, each fill their part in place."""
     if config.policy in ("mds", "bound"):
         block_fn = _counts_block
     elif config.policy == "rl":
@@ -268,5 +270,6 @@ def run_slices(config: ExperimentConfig, slices: list[tuple[int, int]]) -> np.nd
         block_fn = _mask_block
     else:
         block_fn = _scalar_block
-    tx = sim.parallel_map(lambda ab: block_fn(config, *ab), slices)
-    return tx[0] if len(tx) == 1 else np.concatenate(tx)
+    tx = np.empty(config.trials, dtype=np.int32)
+    sim.parallel_map(lambda ab: block_fn(config, ab[0], tx[ab[0]:ab[1]]), slices)
+    return tx

@@ -85,8 +85,9 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed <= _MASK64:  # the hash reads the seed as 64 bits
             raise ValueError(f"seed must be in [0, 2^64), got {self.master_seed}")
-        if self.max_tx_per_trial < 1:
-            raise ValueError("max_tx_per_trial must be >= 1")
+        if not 1 <= self.max_tx_per_trial < 2**31:  # the engines count transmissions in int32
+            raise ValueError(f"max_tx_per_trial must be in [1, 2^31 - 1], "
+                             f"got {self.max_tx_per_trial}")
 
 
 @dataclass
@@ -198,6 +199,15 @@ def parallel_map(fn, items: list) -> list:
         return list(pool.map(fn, items))
 
 
+def _sum_sq_dev(tx: np.ndarray, mean: float) -> float:
+    """Sum of (tx - mean)^2 as tx.std sums it, bit for bit, with no float64 copy of tx:
+    numpy's pairwise sum splits n terms at n // 2 rounded down to a multiple of 8."""
+    if len(tx) <= 1 << 16:
+        return float(((tx - mean) ** 2).sum())
+    half = len(tx) // 2 & ~7
+    return _sum_sq_dev(tx[:half], mean) + _sum_sq_dev(tx[half:], mean)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials; bit-identical for a given config regardless of threading."""
     cap, mean = config.max_tx_per_trial, config.k / (1.0 - config.p)
@@ -209,6 +219,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     tx = engines.run_slices(config, [(config.trials * i // n, config.trials * (i + 1) // n)
                                      for i in range(n)])
     mean = float(tx.mean())
-    stderr = float(tx.std(ddof=1)) / math.sqrt(config.trials) if config.trials > 1 else 0.0
+    stderr = (math.sqrt(_sum_sq_dev(tx, mean) / (config.trials - 1)) / math.sqrt(config.trials)
+              if config.trials > 1 else 0.0)
     return ExperimentResult(mean_tx=mean, stderr=stderr, trials=config.trials,
                             rt=mean / config.k, tx_counts=tx)

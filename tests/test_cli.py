@@ -141,6 +141,14 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("runtime error: the ideal-code mean") and "Traceback" not in err
 
+    def test_cap_limits(self, capsys):
+        # counts are int32, so the cap stops at 2^31 - 1
+        for cap, why in (("0", "max-tx must be >= 1"), ("2147483648", "2^31 - 1")):
+            code, out, err = run_cli(capsys, "simulate", "--policy", "mds", "--k", "2",
+                                     "--p", "0.1", "--trials", "10", "--max-tx", cap)
+            assert code == 1 and out == ""
+            assert err.startswith("usage error:") and why in err and err.count("\n") == 1
+
     def test_bad_policy(self, capsys):
         assert run_cli(capsys, "simulate", "--policy", "magic", "--k", "2",
                        "--p", "0.1")[0] == 1
@@ -366,9 +374,9 @@ class TestFigureRows:
         seen = []
         block = engines._rl_table_block
 
-        def traced(config, lo, hi):
-            seen.append((config.p, lo, hi))
-            return block(config, lo, hi)
+        def traced(config, lo, out):
+            seen.append((config.p, lo, lo + len(out)))
+            block(config, lo, out)
 
         monkeypatch.setattr(engines, "_rl_table_block", traced)
         monkeypatch.setenv("XORCAST_THREADS", "2")

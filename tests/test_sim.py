@@ -55,6 +55,13 @@ class TestConfigValidation:
                    for name in ("k", "trials", "master_seed", "max_tx_per_trial"))
         assert np.array_equal(run_experiment(wide).tx_counts, run_experiment(plain).tx_counts)
 
+    def test_cap_fits_int32_counts(self):
+        ExperimentConfig(k=2, p=0.1, policy="mds", trials=1, master_seed=0,
+                         max_tx_per_trial=2**31 - 1)
+        with pytest.raises(ValueError, match=r"max_tx_per_trial must be in \[1, 2\^31 - 1\]"):
+            ExperimentConfig(k=2, p=0.1, policy="mds", trials=1, master_seed=0,
+                             max_tx_per_trial=2**31)
+
     def test_greedy_k_limited_to_scan_dimension(self):
         # constructed only: a greedy run at k=20 scans 2^20 codewords per step
         ExperimentConfig(k=20, p=0.1, policy="greedy", trials=1, master_seed=0)
@@ -172,6 +179,21 @@ class TestRunExperiment:
         assert res.stderr == 0.0
         assert res.rt == 1.0
         assert res.tx_counts.tolist() == [2] * 100
+
+    # run_experiment sums squared deviations 2^16 counts at a time, split where numpy's
+    # pairwise sum splits (n // 2 rounded down to a multiple of 8); at 65,543, 1,000,003
+    # and 4,000,037 counts a plain n // 2 split gives other bits, and so does summing
+    # the 2^16-count chunks in a row
+    @pytest.mark.parametrize("n", [1, 2, 65_536, 65_537, 65_543, 131_073, 1_000_003, 4_000_037])
+    def test_stderr_equals_numpy_std(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        cfg = ExperimentConfig(k=1, p=0.0, policy="mds", trials=n, master_seed=1)
+        for spread in (0, 1, 1000, 10**6):
+            tx = rng.integers(1, 2 + spread, n, dtype=np.int32)
+            monkeypatch.setattr(engines, "run_slices", lambda config, slices: tx)
+            res = run_experiment(cfg)
+            assert res.mean_tx == tx.mean()
+            assert res.stderr == (float(tx.std(ddof=1)) / np.sqrt(n) if n > 1 else 0.0), spread
 
     def test_bit_identical_rerun(self):
         cfg = ExperimentConfig(k=3, p=0.45, policy="rl", trials=4000, master_seed=77)
@@ -406,6 +428,21 @@ class TestDriveMemory:
         (many_mean,), many_mb = run_measuring_peak(run.format(many))
         assert min(float(sub_mean), float(many_mean)) >= k / (1 - p)
         assert many_mb < sub_mb + 5
+
+    # run_experiment holds 4 bytes a trial: one int32 count array that every slice
+    # fills in place, and a stderr summed 2^16 counts at a time. The smaller run fills
+    # one whole pool, so the pool's step temporaries (about 3 MB over a 1,000-trial
+    # run) count on both sides: 2,000,000 trials peak 8.7 MB above it, and int64
+    # counts with tx.std's float64 copy, 16 bytes a trial, peaked 28 MB above it.
+    def test_counts_take_four_bytes_a_trial(self):
+        run = ("from xorcast import sim\n"
+               "tx = sim.run_experiment(sim.ExperimentConfig(\n"
+               "    k=2, p=0.0, policy='mds', trials={}, master_seed=1)).tx_counts\n"
+               "print(tx.dtype, tx.min(), tx.max())")
+        pool, pool_mb = run_measuring_peak(run.format(sim._BLOCK))
+        many, many_mb = run_measuring_peak(run.format(2_000_000))
+        assert pool == many == ["int32", "2", "2"]
+        assert many_mb < pool_mb + 12
 
 
 class TestRlDraws:
