@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, fsum
 
+from .bounds import _check_loss
 from .gf2 import subspace_table
 from .policy import _scan_spans
 
@@ -244,11 +245,10 @@ def check_conservation(chain: MarkovChainSpec) -> None:
             raise AssertionError(f"row {i} sums to polynomial {coeffs}, expected [1]")
 
 
-def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
-    """Expected steps from state 0 to absorption; a Fraction p gives a Fraction."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p} "
-                         "(expected transmissions diverge at p = 1)")
+def expected_absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
+    """Exact expected transmissions from state 0 until all clients reach full rank;
+    a Fraction p gives a Fraction."""
+    _check_loss(p)
     mu = [0 * p] * chain.n_states
     values = {}  # keyed by id: the chain holds every entry for the whole solve
     for i in range(chain.n_states - 1, -1, -1):
@@ -274,9 +274,8 @@ def _absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
     return mu[0]
 
 
-def expected_absorption_time(chain: MarkovChainSpec, p: float) -> float:
-    """Exact expected transmissions until all clients reach full rank."""
-    return _absorption_time(chain, p)
+# the oracle's solve, its own module attribute so that it is timed or replaced apart
+absorption_time_fine = expected_absorption_time
 
 
 @dataclass(frozen=True)
@@ -379,8 +378,3 @@ def _fine_chain(k: int, tie_break: str) -> FineChain:
                      choices=(*choices, None), mask_successors=(*mask_successors, None),
                      transitions=(*transitions, {last: TransitionPoly.parse("1")}),
                      absorbing_index=last)
-
-
-def absorption_time_fine(chain: FineChain, p: float) -> float:
-    """Expected transmissions to absorption in the fine-grained chain."""
-    return _absorption_time(chain, p)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING
 
-from .bounds import _as_int
+from .bounds import _as_int, _check_loss
 from .gf2 import MAX_DIM, MAX_MASK_DIM, rref_insert, span_mask
 from .policy import _scan_spans
 
@@ -74,8 +74,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not 1 <= self.k <= MAX_DIM:
             raise ValueError(f"k must be in [1, {MAX_DIM}], got {self.k}")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {self.p}")
+        _check_loss(self.p)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.policy == "greedy" and self.k > MAX_MASK_DIM:

@@ -55,6 +55,14 @@ class TestExact:
         exact = markov.expected_absorption_time(markov.build_chain(2), 0.25)
         assert data["e_tx"] == pytest.approx(exact)
 
+    def test_solver_error_is_internal_error(self, capsys, monkeypatch):
+        def fail(chain, p):
+            raise markov.SolverError("transition 1 -> 0 goes to a lower index")
+        monkeypatch.setattr(markov, "expected_absorption_time", fail)
+        code, out, err = run_cli(capsys, "exact", "--k", "2", "--p", "0.5")
+        assert code == cli.EXIT_INTERNAL == 3 and out == ""
+        assert err == "internal error: transition 1 -> 0 goes to a lower index\n"
+
     def test_k_validation(self, capsys):
         assert run_cli(capsys, "exact", "--k", "1", "--p", "0.2")[0] == 1
         assert run_cli(capsys, "exact", "--k", "4", "--p", "0.2")[0] == 1
@@ -288,6 +296,8 @@ class TestFigure:
         assert run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "0.5,1.5")[0] == 1
         code, out, err = run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "")
         assert code == 1 and out == "" and "empty p-grid" in err
+        code, out, err = run_cli(capsys, "figure", "--which", "fig1c", "--p-grid", "0.1,abc")
+        assert code == 1 and out == "" and err.startswith("usage error: bad p-grid")
 
     def test_fig2_rejects_p_grid(self, capsys):
         # fig2 sweeps k at two fixed loss probabilities; a grid it would ignore is refused

@@ -111,6 +111,12 @@ class TestAggregatedChains:
                 coeffs = row_sum_coeffs(chain, i)
                 assert coeffs[0] == 1 and not any(coeffs[1:])
 
+    def test_conservation_catches_a_slipped_entry(self):
+        rows = list(markov._K2_ROWS)
+        rows[0] = {**rows[0], 1: "2sp2"}  # "3sp2" with its coefficient slipped
+        with pytest.raises(AssertionError, match=r"row 0 sums to polynomial \[1, -1, 2, -1\]"):
+            check_conservation(markov._assemble(2, markov._K2_DESCRIPTIONS, rows))
+
     def test_absorbing_row_is_unit(self):
         for k in (2, 3):
             chain = build_chain(k)
