@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
+from numbers import Real
 from operator import index
 
 _TAIL_EPSILON = 1e-12  # series truncation tolerance
@@ -37,7 +38,9 @@ def _as_int(name: str, value) -> int:  # any type with __index__ but bool, numpy
     return index(value)
 
 
-def _check_loss(p: float) -> None:
+def _check_loss(p: float) -> None:  # any Real but bool: floats, numpy's, Fraction
+    if isinstance(p, bool) or not isinstance(p, Real):
+        raise ValueError(f"loss probability must be a real number, got {p!r}")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p}")
 

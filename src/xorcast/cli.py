@@ -45,8 +45,10 @@ def _check_k(k: int, upper: int = MAX_DIM) -> int:
 
 
 def _check_p(p: float) -> float:
-    if not 0.0 <= p < 1.0:
-        raise UsageError(f"loss probability must satisfy 0 <= p < 1, got {p}")
+    try:
+        bounds._check_loss(p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return p + 0.0  # -0.0 becomes 0.0
 
 

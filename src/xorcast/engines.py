@@ -4,8 +4,6 @@ Each is a step function on one trial driver, _drive, which hashes, checks the ca
 hands finished rows the next trial and holds engine state in one bounded pool. No
 function here is memoized: perfbench clears only the caches of modules loaded before it."""
 
-from functools import partial
-
 import numpy as np
 
 from . import markov, sim
@@ -121,10 +119,12 @@ def _counts_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
            lambda n: [np.full(n, target, dtype=np.int64) for target in targets], step)
 
 
-def _table_block(config: ExperimentConfig, lo: int, out: np.ndarray, table: np.ndarray,
-                 absorbing: int) -> None:
-    """Greedy trials on the joint-state table; state 0 holds no receptions."""
-    flat = table.ravel()
+def _table_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
+    """Greedy trials on the fine chain's joint-state table; state 0 holds no receptions."""
+    chain = markov.build_fine_chain(config.k, "smallest")
+    flat = np.array([row or (i,) * 8 for i, row in enumerate(chain.mask_successors)],
+                    dtype=np.intp).ravel()
+    absorbing = chain.absorbing_index
 
     def step(h, recv, state):
         state[0] = flat[state[0] << 3 | recv[0] | recv[1] << 1 | recv[2] << 2]
@@ -133,18 +133,11 @@ def _table_block(config: ExperimentConfig, lo: int, out: np.ndarray, table: np.n
     _drive(config, lo, out, lambda n: [np.zeros(n, dtype=np.intp)], step)
 
 
-def _subspace_table(k: int) -> tuple[np.ndarray, int]:
-    """(nxt, full): gf2's cached subspace_table(k) as an array, nxt[span, w] the span
-    after receiving w, and the index of GF(2)^k. Column 0 maps every span to itself."""
-    bases, _, nxt = subspace_table(k)
-    return np.array(nxt, dtype=np.intp), len(bases) - 1
-
-
 def _rl_table_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
-    """rl trials for k <= _TABLE_DIM_LIMIT: each client's span is a table index."""
-    nxt, full = _subspace_table(config.k)
-    flat = nxt.ravel()
-    width = nxt.shape[1]
+    """rl trials for k <= _TABLE_DIM_LIMIT: each client's span is a subspace_table index,
+    flat[span * 2^k + w] the span after receiving w, and GF(2)^k the last index."""
+    bases, _, nxt = subspace_table(config.k)
+    flat, width, full = np.array(nxt, dtype=np.intp).ravel(), 1 << config.k, len(bases) - 1
 
     def step(h, recv, span):
         w = _rl_vectors(h, config, np.intp)
@@ -227,17 +220,14 @@ def _mask_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
         pick = np.flatnonzero(grows)
         word, bit, flat = word[pick // 3], bit[pick // 3], span.reshape(-1, words)
         # moved[r] = row r translated by w, bit x taken from bit x ^ w: words i ^ (w >> 6),
-        # then within each word the halves that each set bit j of w & 63 selects swapped
+        # then within each word the halves that each set bit j of w & 63 selects swapped,
+        # as in gf2.span_mask, by one delta swap
         moved = np.take(flat, (pick * words)[:, None] + (np.arange(words) ^ word[:, None]))
         for j in range(min(k, 6)):
             sel = np.flatnonzero(bit >> j & 1)
-            if j < 3:
-                x, shift = moved[sel], np.uint64(1 << j)
-                t = (x >> shift ^ x) & np.uint64(_low_halves(6)[j])
-                moved[sel] = x ^ t ^ t << shift
-            else:  # halves of whole bytes: swap neighbouring 8-, 16- or 32-bit lanes
-                lanes = moved.view(f"u{1 << (j - 3)}").reshape(len(moved), words << (5 - j), 2)
-                lanes[sel] = lanes[sel, :, ::-1]
+            x, shift = moved[sel], np.uint64(1 << j)
+            t = (x >> shift ^ x) & np.uint64(_low_halves(6)[j])
+            moved[sel] = x ^ t ^ t << shift
         flat[pick] |= moved
         return (span == full).all(axis=(1, 2))
 
@@ -257,10 +247,7 @@ def run_slices(config: ExperimentConfig, slices: list[tuple[int, int]]) -> np.nd
     elif config.policy == "rl":
         block_fn = _rl_table_block if config.k <= _TABLE_DIM_LIMIT else _rl_basis_block
     elif config.k <= _TABLE_DIM_LIMIT:
-        chain = markov.build_fine_chain(config.k, "smallest")
-        table = np.array([row or (i,) * 8 for i, row in enumerate(chain.mask_successors)],
-                         dtype=np.intp)
-        block_fn = partial(_table_block, table=table, absorbing=chain.absorbing_index)
+        block_fn = _table_block
     elif config.k <= _MASK_DIM_LIMIT:
         block_fn = _mask_block
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from itertools import count
@@ -87,6 +88,11 @@ class ExperimentConfig:
         if not 1 <= self.max_tx_per_trial < 2**31:  # the engines count transmissions in int32
             raise ValueError(f"max_tx_per_trial must be in [1, 2^31 - 1], "
                              f"got {self.max_tx_per_trial}")
+        # any truthy value would turn zero draws on; a numpy bool means numpy is loaded
+        numpy_bool = getattr(sys.modules.get("numpy"), "bool_", bool)
+        if not isinstance(self.rl_include_zero, (bool, numpy_bool)):
+            raise ValueError(f"rl_include_zero must be True or False, got {self.rl_include_zero!r}")
+        object.__setattr__(self, "rl_include_zero", bool(self.rl_include_zero))
 
 
 @dataclass

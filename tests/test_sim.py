@@ -1,11 +1,13 @@
 import hashlib
 import threading
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from xorcast import bounds, engines, markov, sim
+from xorcast import bounds, engines, gf2, markov, sim
 from xorcast.sim import ExperimentConfig, TransmissionCapError, run_experiment, run_trial
 
 from conftest import run_measuring_peak
@@ -61,6 +63,36 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"max_tx_per_trial must be in \[1, 2\^31 - 1\]"):
             ExperimentConfig(k=2, p=0.1, policy="mds", trials=1, master_seed=0,
                              max_tx_per_trial=2**31)
+
+    # a str or None p failed with a bare TypeError, and a Decimal p passed every check,
+    # then failed inside run_experiment and mds_expected
+    @pytest.mark.parametrize("make", [
+        lambda p: ExperimentConfig(k=2, p=p, policy="rl", trials=1, master_seed=0),
+        lambda p: bounds.BoundQuery(k=2, p=p),
+        lambda p: markov.expected_absorption_time(markov.build_fine_chain(2), p),
+    ], ids=["config", "bound_query", "solve"])
+    @pytest.mark.parametrize("p, real", [
+        ("0.5", False), (None, False), (Decimal("0.5"), False), (True, False),
+        (Fraction(1, 2), True), (np.float64(0.5), True), (0, True),
+    ])
+    def test_loss_probability_must_be_real(self, make, p, real):
+        if real:
+            make(p)
+        else:
+            with pytest.raises(ValueError, match="loss probability must be a real number"):
+                make(p)
+
+    # any truthy value turned zero draws on: "no" ran exactly as True does
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, 1.0])
+    def test_include_zero_must_be_bool(self, value):
+        with pytest.raises(ValueError, match="rl_include_zero must be True or False"):
+            ExperimentConfig(k=3, p=0.5, policy="rl", trials=1, master_seed=0,
+                             rl_include_zero=value)
+
+    def test_include_zero_takes_numpy_bool(self):
+        cfg = ExperimentConfig(k=3, p=0.5, policy="rl", trials=1, master_seed=0,
+                               rl_include_zero=np.True_)
+        assert cfg.rl_include_zero is True
 
     def test_greedy_k_limited_to_scan_dimension(self):
         # constructed only: a greedy run at k=20 scans 2^20 codewords per step
@@ -478,7 +510,8 @@ class TestRlDraws:
 class TestSubspaceTable:
     @pytest.mark.parametrize("k, subspaces", [(1, 2), (2, 5), (3, 16), (4, 67)])
     def test_counts_and_absorption(self, k, subspaces):
-        nxt, full = engines._subspace_table(k)
+        bases, _, nxt = gf2.subspace_table(k)
+        nxt, full = np.array(nxt), len(bases) - 1
         assert nxt.shape == (subspaces, 1 << k)
         # the zero vector changes no span; the whole space absorbs every vector
         assert np.array_equal(nxt[:, 0], np.arange(subspaces))
@@ -514,6 +547,36 @@ class TestPolicyOrdering:
         with_zero = ExperimentConfig(k=2, p=0.3, policy="rl", trials=20_000,
                                      master_seed=9, rl_include_zero=True)
         assert run_experiment(with_zero).mean_tx > run_experiment(base).mean_tx
+
+
+class TestPathwise:
+    """Each client's receptions fall at the same transmissions under every policy at one
+    seed, and every policy needs k of them, so mds is a floor trial by trial, on every
+    engine: greedy on the table (k = 3), span masks (k = 8) and run_trial (k = 16), rl
+    on the subspace table (k = 3) and bases (k = 8, 33), and the counts engine."""
+
+    SEED = 11
+
+    @staticmethod
+    def counts(policy, k, p, trials):
+        config = ExperimentConfig(k=k, p=p, policy=policy, trials=trials,
+                                  master_seed=TestPathwise.SEED)
+        return run_experiment(config).tx_counts
+
+    @pytest.mark.parametrize("p", [0.25, 0.8])
+    @pytest.mark.parametrize("policy, k, trials", [
+        ("greedy", 3, 2000), ("greedy", 8, 2000), ("greedy", 16, 20),
+        ("rl", 3, 2000), ("rl", 8, 2000), ("rl", 33, 300), ("bound", 3, 2000),
+    ])
+    def test_no_trial_beats_mds(self, policy, k, p, trials):
+        excess = self.counts(policy, k, p, trials) - self.counts("mds", k, p, trials)
+        assert excess.min() >= 0
+
+    # without losses every greedy codeword is innovative for every client that lacks it
+    @pytest.mark.parametrize("k, trials", [(3, 2000), (8, 2000), (16, 20)])
+    def test_lossless_greedy_is_mds(self, k, trials):
+        assert np.all(self.counts("greedy", k, 0.0, trials) == k)
+        assert np.all(self.counts("mds", k, 0.0, trials) == k)
 
 
 class TestAgainstExactValues:
