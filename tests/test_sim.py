@@ -572,7 +572,7 @@ class TestPathwise:
         excess = self.counts(policy, k, p, trials) - self.counts("mds", k, p, trials)
         assert excess.min() >= 0
 
-    # without losses every greedy codeword is innovative for every client that lacks it
+    # without losses the three spans stay equal, so every greedy codeword is innovative
     @pytest.mark.parametrize("k, trials", [(3, 2000), (8, 2000), (16, 20)])
     def test_lossless_greedy_is_mds(self, k, trials):
         assert np.all(self.counts("greedy", k, 0.0, trials) == k)
