@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from numbers import Real
+from numbers import Rational, Real
 from operator import index
 
 _TAIL_EPSILON = 1e-12  # series truncation tolerance
@@ -38,11 +38,12 @@ def _as_int(name: str, value) -> int:  # any type with __index__ but bool, numpy
     return index(value)
 
 
-def _check_loss(p: float) -> None:  # any Real but bool: floats, numpy's, Fraction
+def _check_loss(p: float) -> float:  # any Real but bool, as a float unless Rational
     if isinstance(p, bool) or not isinstance(p, Real):
         raise ValueError(f"loss probability must be a real number, got {p!r}")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"loss probability must satisfy 0 <= p < 1, got {p}")
+    return p if isinstance(p, Rational) else float(p)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class BoundQuery:
         object.__setattr__(self, "k", _as_int("k", self.k))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        _check_loss(self.p)
+        object.__setattr__(self, "p", _check_loss(self.p))
 
     @property
     def s(self) -> float:
@@ -72,7 +73,7 @@ def p_delta(beta: int, p: float) -> float:
     """
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
-    _check_loss(p)
+    p = _check_loss(p)
     s = 1.0 - p
     stay_and_receive = s * p * p
     return stay_and_receive ** (beta - 1) * (s * p * p + 2 * s * s * p + s**3)
@@ -80,7 +81,7 @@ def p_delta(beta: int, p: float) -> float:
 
 def expected_delta(p: float) -> float:
     """Expected redundant codewords at the lagging client; in (0, 1] for p < 1."""
-    _check_loss(p)
+    p = _check_loss(p)
     s = 1.0 - p
     numerator = s * p * p + 2 * s * s * p + s**3
     return numerator / (1.0 - s * p * p) ** 2

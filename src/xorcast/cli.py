@@ -46,10 +46,9 @@ def _check_k(k: int, upper: int = MAX_DIM) -> int:
 
 def _check_p(p: float) -> float:
     try:
-        bounds._check_loss(p)
+        return bounds._check_loss(p) + 0.0  # -0.0 becomes 0.0
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return p + 0.0  # -0.0 becomes 0.0
 
 
 def _p_text(p: float) -> str:

@@ -1,8 +1,10 @@
 """sim.run_experiment's vector engines; it imports them, and numpy, on its first call.
 
-Each is a step function on one trial driver, _drive, which hashes, checks the cap,
-hands finished rows the next trial and holds engine state in one bounded pool. No
-function here is memoized: perfbench clears only the caches of modules loaded before it."""
+Each is a step function on one trial driver, _drive, which hashes, tests receptions, checks
+the cap, refills done rows and holds state in one bounded pool, trial on axis 0 (-1 for the
+pivot-major rl bases). No function is memoized: perfbench clears only preloaded caches."""
+
+import threading
 
 import numpy as np
 
@@ -12,16 +14,17 @@ from .policy import _coverage_levels
 from .sim import (_BLOCK, _GAMMA_CHANNEL, _GAMMA_TRIAL, _GAMMA_TX, _MASK64, _MUL1, _MUL2,
                   CHANNEL_POLICY, ExperimentConfig, TransmissionCapError, run_trial)
 
-# _drive's pool holds at most _STATE_BYTES of engine state (or one trial's): 1-D
-# engines hold at most 24 B a row and fill _BLOCK rows, span masks and rl bases fewer.
-# It bounds state only: a full pool's per-step hash, draw and mask temporaries add about
-# 3 MB (mds at k = 2, p = 0 peaks 3.1 MB higher over 32,768 trials than over 1,000).
+# _drive's pool holds at most _STATE_BYTES of engine state (or one trial's): int8 counters
+# take 3 B a row, the tables 8 or 24 B, and all fill _BLOCK rows; span masks and bases fewer.
+# It bounds state only: mds at k = 2, p = 0 peaks 2.4 MB higher over 32,768 trials than 1,000.
 _STATE_BYTES = 1 << 20
 
 # Greedy runs on the joint-state table and rl on the subspace table up to this k
 _TABLE_DIM_LIMIT = markov.MAX_FINE_DIM
 # Span masks cost O(2^k) a step, as run_trial's do; above this k run_trial is faster
 _MASK_DIM_LIMIT = 15
+
+_TABLE_LOCK = threading.Lock()  # one thread builds a cached table while the others wait
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -46,10 +49,6 @@ def _word_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
     return _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
 
 
-def _draw_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
-    return (_word_np(tx_base, channel) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def _rl_vectors(tx_base: np.ndarray, config: ExperimentConfig, dtype) -> np.ndarray:
     """Coding vectors of the rl policy, drawn as _rl_vector draws them."""
     shift = np.uint64(64 - config.k)
@@ -62,11 +61,11 @@ def _rl_vectors(tx_base: np.ndarray, config: ExperimentConfig, dtype) -> np.ndar
     return w.astype(dtype, copy=False)
 
 
-def _drive(config: ExperimentConfig, lo: int, out: np.ndarray, make_state, step) -> None:
+def _drive(config: ExperimentConfig, lo: int, out: np.ndarray, make_state, step, axis=0) -> None:
     """Run trials lo..lo+len(out)-1 to completion, writing their transmission counts to out.
 
-    make_state(n) returns the state of n fresh trials, arrays whose first axis
-    is the row; one pool of at most _BLOCK rows and _STATE_BYTES of state (as
+    make_state(n) returns the state of n fresh trials, arrays whose axis `axis` is
+    the row; one pool of at most _BLOCK rows and _STATE_BYTES of state (as
     make_state(1) measures it) runs them all. Each transmission, step(h, recv,
     state) advances every row in place, given the transmission hashes h and the
     three per-client reception masks recv, and returns the mask of rows whose
@@ -74,7 +73,7 @@ def _drive(config: ExperimentConfig, lo: int, out: np.ndarray, make_state, step)
     step start has base _trial_base - start * _GAMMA_TX, so step t is its
     transmission t - start. Once none is pending, done rows are compacted out.
     """
-    trials, cap, s = len(out), config.max_tx_per_trial, 1.0 - config.p
+    trials, cap, threshold = len(out), config.max_tx_per_trial, (1.0 - config.p) * 2.0**53
     rows = min(trials, _BLOCK, max(1, _STATE_BYTES // sum(a.nbytes for a in make_state(1))))
     idx, start = np.arange(rows), np.zeros(rows, dtype=np.int64)
     base = _trial_base_np(config.master_seed, (idx + lo).astype(np.uint64))
@@ -83,7 +82,8 @@ def _drive(config: ExperimentConfig, lo: int, out: np.ndarray, make_state, step)
         if t - int(start.min()) >= cap:  # the lowest trial left started first
             raise TransmissionCapError(lo + int(idx.min()), cap)
         h = _tx_base_np(base, t)
-        recv = [_draw_np(h, c) < s for c in range(3)]
+        # run_trial's _draw(h, c) < 1 - p with both sides scaled by 2^53, so exact
+        recv = [_word_np(h, c) >> np.uint64(11) < threshold for c in range(3)]
         done = step(h, recv, state)
         t += 1
         ended = np.flatnonzero(done)  # gathers by index, far cheaper than by a mask
@@ -97,12 +97,13 @@ def _drive(config: ExperimentConfig, lo: int, out: np.ndarray, make_state, step)
                               + np.uint64((-t * _GAMMA_TX) & _MASK64))
                 start[free] = t
                 for array, init in zip(state, make_state(free.size)):
-                    array[free] = init
+                    array.swapaxes(0, axis)[free] = init.swapaxes(0, axis)
                 started += free.size
             if started == trials:
+                # np.take keeps C order; array[..., keep] would lay the trial axis out first
                 keep = np.flatnonzero(~done)
                 idx, base, start = idx[keep], base[keep], start[keep]
-                state = [array[keep] for array in state]
+                state = [np.take(array, keep, axis=axis) for array in state]
 
 
 def _counts_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
@@ -111,17 +112,18 @@ def _counts_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
     targets = (k, k, k + 1 if config.policy == "bound" else k)
 
     def step(h, recv, need):  # need[c][i]: receptions client c of trial i still lacks
-        for c in range(3):
-            need[c] -= recv[c]
-        return (need[0] <= 0) & (need[1] <= 0) & (need[2] <= 0)
+        for c in range(3):  # stops at 0, so int8 never wraps
+            need[c] -= np.minimum(need[c], recv[c].view(np.int8))
+        return (need[0] | need[1] | need[2]) == 0
 
     _drive(config, lo, out,
-           lambda n: [np.full(n, target, dtype=np.int64) for target in targets], step)
+           lambda n: [np.full(n, target, dtype=np.int8) for target in targets], step)
 
 
 def _table_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
     """Greedy trials on the fine chain's joint-state table; state 0 holds no receptions."""
-    chain = markov.build_fine_chain(config.k, "smallest")
+    with _TABLE_LOCK:
+        chain = markov.build_fine_chain(config.k, "smallest")
     flat = np.array([row or (i,) * 8 for i, row in enumerate(chain.mask_successors)],
                     dtype=np.intp).ravel()
     absorbing = chain.absorbing_index
@@ -136,7 +138,8 @@ def _table_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
 def _rl_table_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
     """rl trials for k <= _TABLE_DIM_LIMIT: each client's span is a subspace_table index,
     flat[span * 2^k + w] the span after receiving w, and GF(2)^k the last index."""
-    bases, _, nxt = subspace_table(config.k)
+    with _TABLE_LOCK:
+        bases, _, nxt = subspace_table(config.k)
     flat, width, full = np.array(nxt, dtype=np.intp).ravel(), 1 << config.k, len(bases) - 1
 
     def step(h, recv, span):
@@ -158,9 +161,7 @@ def _rl_basis_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
     bits select, in one pass. One update serves every (trial, client) pair that
     received w and lacks full rank, whichever the client.
     """
-    k = config.k
-    dtype = np.min_scalar_type((1 << k) - 1)
-    one = dtype.type(1)
+    k, dtype = config.k, np.min_scalar_type((1 << config.k) - 1)
 
     def step(h, recv, state):
         basis, rank = state[0].reshape(-1, k), state[1].reshape(-1)
@@ -175,21 +176,47 @@ def _rl_basis_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
         reduced = np.bitwise_xor.reduce(terms, axis=1)
         reduced ^= wp
         # the new pivot bit, 0 where w was already in the span
-        low = reduced & (~reduced + one)
+        low = reduced & (~reduced + dtype.type(1))
+        pivot = np.log2((low | (low == 0)).astype(np.float64)).astype(dtype)  # its index
         # clear it from the client's other rows: hit = reduced where a row has it,
-        # as (row & low) * (reduced // low), exact since low divides reduced
+        # as (row & low) * (reduced >> pivot), exact since low divides reduced
         hit = np.bitwise_and(rows, low[:, None], out=terms)
-        hit *= (reduced // np.maximum(low, one))[:, None]
+        hit *= (reduced >> pivot)[:, None]
         rows ^= hit
         new = np.flatnonzero(low)
-        pivot = np.log2(low[new].astype(np.float64)).astype(np.intp)
-        rows[new, pivot] = reduced[new]
+        rows[new, pivot[new]] = reduced[new]
         basis[pick] = rows
         rank[pick[new]] += 1
         return (state[1] == k).all(axis=1)
 
     _drive(config, lo, out, lambda n: [np.zeros((n, 3, k), dtype=dtype),
-                                       np.zeros((n, 3), dtype=np.int64)], step)
+                                       np.zeros((n, 3), dtype=np.int8)], step)
+
+
+def _rl_dense_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
+    """_rl_basis_block's bases pivot-major, basis[j, c, i]: all pairs step in contiguous passes."""
+    k, dtype = config.k, np.min_scalar_type((1 << config.k) - 1)
+    bits = np.arange(k, dtype=dtype)[:, None, None]
+    pivots = np.left_shift(1, bits, dtype=dtype)
+
+    def step(h, recv, state):
+        basis, rank = state
+        w = _rl_vectors(h, config, dtype) * np.stack(recv)  # a lost codeword acts as 0
+        t = w >> bits  # t[j] = basis[j] where w has bit j, in place
+        t &= 1
+        t *= basis
+        reduced = np.bitwise_xor.reduce(t, axis=0) ^ w
+        low = reduced & (~reduced + dtype.type(1))
+        # the rows holding the new pivot bit, and the empty row at it, take reduced
+        np.bitwise_or(basis, pivots, out=t)
+        t &= low
+        t *= reduced // np.maximum(low, dtype.type(1))
+        basis ^= t
+        rank += low != 0
+        return (rank == k).all(axis=0)
+
+    _drive(config, lo, out, lambda n: [np.zeros((k, 3, n), dtype=dtype),
+                                       np.zeros((3, n), dtype=np.int8)], step, axis=-1)
 
 
 def _mask_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
@@ -244,8 +271,11 @@ def run_slices(config: ExperimentConfig, slices: list[tuple[int, int]]) -> np.nd
     slices, (lo, hi) pairs that cut 0..config.trials-1, each fill their part in place."""
     if config.policy in ("mds", "bound"):
         block_fn = _counts_block
-    elif config.policy == "rl":
-        block_fn = _rl_table_block if config.k <= _TABLE_DIM_LIMIT else _rl_basis_block
+    elif config.policy == "rl" and config.k <= _TABLE_DIM_LIMIT:
+        block_fn = _rl_table_block
+    elif config.policy == "rl":  # the dense step's work per reception grows as 1 / (1 - p)
+        dense = (1 - config.p) * 8 > np.min_scalar_type((1 << config.k) - 1).itemsize
+        block_fn = _rl_dense_block if dense else _rl_basis_block
     elif config.k <= _TABLE_DIM_LIMIT:
         block_fn = _table_block
     elif config.k <= _MASK_DIM_LIMIT:

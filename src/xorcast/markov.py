@@ -248,7 +248,7 @@ def check_conservation(chain: MarkovChainSpec) -> None:
 def expected_absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
     """Exact expected transmissions from state 0 until all clients reach full rank;
     a Fraction p gives a Fraction."""
-    _check_loss(p)
+    p = _check_loss(p)
     mu = [0 * p] * chain.n_states
     values = {}  # keyed by id: the chain holds every entry for the whole solve
     for i in range(chain.n_states - 1, -1, -1):

@@ -75,7 +75,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if not 1 <= self.k <= MAX_DIM:
             raise ValueError(f"k must be in [1, {MAX_DIM}], got {self.k}")
-        _check_loss(self.p)
+        object.__setattr__(self, "p", _check_loss(self.p))
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.policy == "greedy" and self.k > MAX_MASK_DIM:

@@ -82,6 +82,22 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="loss probability must be a real number"):
                 make(p)
 
+    # a float32 p was kept as float32: the k = 2 and 3 solves then failed their residual
+    # check (1.192e-07), and 1 - p was formed in float32 for the reception draws
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7])
+    def test_float32_loss_probability_is_its_float(self, p):
+        p32 = np.float32(p)
+        for chain in (markov.build_chain(2), markov.build_chain(3), markov.build_fine_chain(3)):
+            exact = markov.expected_absorption_time(chain, float(p32))
+            assert abs(markov.expected_absorption_time(chain, p32) - exact) <= 1e-12 * exact
+        assert bounds.BoundQuery(k=5, p=p32).p == float(p32)
+        for policy, k in (("greedy", 3), ("greedy", 8), ("rl", 3), ("rl", 12), ("rl", 33),
+                          ("mds", 5), ("bound", 5)):
+            runs = [run_experiment(ExperimentConfig(k=k, p=q, policy=policy, trials=300,
+                                                    master_seed=3)).tx_counts
+                    for q in (p32, float(p32))]
+            assert np.array_equal(*runs), (policy, k)
+
     # any truthy value turned zero draws on: "no" ran exactly as True does
     @pytest.mark.parametrize("value", ["no", 1, 0, None, 1.0])
     def test_include_zero_must_be_bool(self, value):
@@ -163,18 +179,40 @@ class TestHashStreams:
         trials = np.arange(0, 257, dtype=np.uint64)
         for tx in (0, 1, 7, 1023):
             base_v = engines._tx_base_np(engines._trial_base_np(12345, trials), tx)
-            for channel in range(4):
-                vec = engines._draw_np(base_v, channel)
+            for channel in range(5):
+                vec = engines._word_np(base_v, channel)
                 for t in (0, 1, 100, 256):
-                    scalar = sim._draw(sim._tx_base(sim._trial_base(12345, t), tx), channel)
+                    scalar = sim._word(sim._tx_base(sim._trial_base(12345, t), tx), channel)
                     assert scalar == vec[t]
 
     def test_uniform_range_and_spread(self):
         trials = np.arange(0, 20000, dtype=np.uint64)
-        u = engines._draw_np(engines._tx_base_np(engines._trial_base_np(7, trials), 0), 1)
-        assert np.all((0.0 <= u) & (u < 1.0))
-        assert abs(u.mean() - 0.5) < 0.01
-        assert abs(np.mean(u < 0.25) - 0.25) < 0.01
+        top = engines._word_np(engines._tx_base_np(engines._trial_base_np(7, trials), 0), 1) >> 11
+        assert top.max() < 2**53
+        assert abs(top.mean() / 2**53 - 0.5) < 0.01
+        assert abs(np.mean(top < 0.25 * 2**53) - 0.25) < 0.01
+
+    # _drive receives where (word >> 11) < (1 - p) * 2^53, run_trial where _draw(h, c) =
+    # (word >> 11) * 2^-53 < 1 - p: the same test scaled by a power of two. Checked on
+    # random words and on those whose top 53 bits are next to floor((1 - p) * 2^53).
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9, 0.999])
+    def test_scaled_threshold_equals_draw(self, monkeypatch, p):
+        edge = int((1 - p) * 2**53)
+        near = [(edge + d) << 11 | low for d in range(-2, 3) for low in (0, 1, 2047)
+                if 0 <= edge + d < 2**53]
+        rng = np.random.default_rng(edge)
+        words = np.concatenate([np.array(near, dtype=np.uint64),
+                                rng.integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False)])
+        monkeypatch.setattr(engines, "_word_np", lambda tx_base, channel: words.copy())
+        monkeypatch.setattr(sim, "_word", lambda tx_base, channel: tx_base)  # _draw(w, c) of w
+        seen = []
+        cfg = ExperimentConfig(k=2, p=p, policy="mds", trials=len(words), master_seed=1)
+        engines._drive(cfg, 0, np.empty(len(words), dtype=np.int32), lambda n: [np.zeros(n)],
+                       lambda h, recv, state: seen.extend(recv) or np.ones(len(h), dtype=bool))
+        expected = [sim._draw(int(w), 0) < 1 - p for w in words]
+        assert 0 < sum(expected) < len(words) or p == 0.0
+        for c in range(3):
+            assert seen[c].tolist() == expected
 
 
 class TestRunTrial:
@@ -266,6 +304,19 @@ class TestRunExperiment:
         pytest.param(policy, 3, 0.4, False, id=policy)
         for policy in ("greedy", "rl", "mds", "bound")
     ] + [
+        # 1 - p not dyadic, so (1 - p) * 2^53 is rounded: _drive's scaled threshold must
+        # round as run_trial's 1 - p does, on every engine
+        pytest.param(policy, k, p, False, id=f"{policy}-k{k}-p{p}")
+        for policy, k in (("greedy", 3), ("greedy", 8), ("rl", 3), ("rl", 9), ("rl", 33),
+                          ("mds", 3), ("bound", 33))
+        for p in (0.1, 0.3, 0.7, 0.9)
+    ] + [
+        # each side of run_slices' rule for the rl bases, dense where (1 - p) * 8 exceeds
+        # the row dtype's itemsize: uint8 at k = 8, uint16 at 16, uint32 at 32
+        pytest.param("rl", k, p, zero, id=f"rl-k{k}-p{p}-{'zero' if zero else 'nonzero'}")
+        for k, p in ((8, 0.87), (8, 0.875), (16, 0.7), (16, 0.75), (32, 0.45), (32, 0.5))
+        for zero in (False, True)
+    ] + [
         pytest.param("greedy", k, p, False, id=f"greedy-k{k}-p{p}")
         for k in (5, 8, 12, engines._MASK_DIM_LIMIT, engines._MASK_DIM_LIMIT + 1)
         for p in (0.0, 0.4, 0.8)
@@ -293,12 +344,12 @@ class TestRunExperiment:
         assert res.mean_tx >= 5.0
 
     # _drive's pool holds _STATE_BYTES of state: 682 rows of greedy's span masks at
-    # k = 12 (3 * 2^k / 8 bytes a trial), about 2,570 of rl's bases at k = 32 (a
-    # uint32 row per bit and an int64 rank per client). The cap is the first
+    # k = 12 (3 * 2^k / 8 bytes a trial), 2,709 of rl's pivot-major bases at k = 32,
+    # p = 0.25 (a uint32 row per bit and an int8 rank per client). The cap is the first
     # pool's largest count, so the first trial over it starts in a refilled row.
     @pytest.mark.parametrize("policy, k, p, trials, seed, trial_bytes", [
         pytest.param("greedy", 12, 0.5, 1000, 2, 3 * (1 << 12) // 8, id="greedy-k12"),
-        pytest.param("rl", 32, 0.25, 2800, 7, 3 * 32 * 4 + 3 * 8, id="rl-k32"),
+        pytest.param("rl", 32, 0.25, 2800, 7, 3 * 32 * 4 + 3, id="rl-k32"),
     ])
     def test_drive_sub_blocks(self, policy, k, p, trials, seed, trial_bytes):
         sub = engines._STATE_BYTES // trial_bytes
@@ -314,17 +365,18 @@ class TestRunExperiment:
             run_experiment(capped)
         assert err.value.trial_index == over[0]
 
-    # a pool of 4 rows refills many times on every engine: counts, the greedy
-    # table, span masks, the rl table and rl bases in uint16 and uint64 rows. The
+    # a pool of 4 rows refills many times on every engine: int8 counts, the greedy
+    # table, span masks, the rl table, and rl bases in uint16 rows (pivot-major, trial
+    # on the last axis) and in uint64 rows (row-first). The
     # cap is the first pool's largest count, so the first trial over it is a
     # refilled one, in a row that is not the pool's first.
     @pytest.mark.parametrize("policy, k, p, seed, row_bytes", [
-        pytest.param("mds", 3, 0.5, 1, 3 * 8, id="counts"),
+        pytest.param("mds", 3, 0.5, 1, 3, id="counts"),
         pytest.param("greedy", 3, 0.5, 2, 8, id="greedy-table"),
         pytest.param("greedy", 5, 0.5, 4, 3 * 8, id="span-masks"),
         pytest.param("rl", 3, 0.5, 3, 3 * 8, id="rl-table"),
-        pytest.param("rl", 9, 0.4, 5, 3 * 9 * 2 + 3 * 8, id="rl-basis-k9"),
-        pytest.param("rl", 33, 0.4, 2, 3 * 33 * 8 + 3 * 8, id="rl-basis-k33"),
+        pytest.param("rl", 9, 0.4, 5, 3 * 9 * 2 + 3, id="rl-basis-k9"),
+        pytest.param("rl", 33, 0.4, 2, 3 * 33 * 8 + 3, id="rl-basis-k33"),
     ])
     def test_drive_refills_pool(self, monkeypatch, policy, k, p, seed, row_bytes):
         rows, trials = 4, 80
@@ -339,6 +391,55 @@ class TestRunExperiment:
         with pytest.raises(TransmissionCapError) as err:
             run_experiment(capped)
         assert err.value.trial_index == over[0]
+
+    # the counts engine's int8 need stops at 0: client 0 receives every transmission
+    # and client 1 only from transmission 250 on, so client 0 receives 250 times after
+    # its need reached 0, and a plain int8 count would have wrapped past -128
+    def test_counts_stop_at_zero(self, monkeypatch):
+        steps = []
+
+        def word(tx_base, channel):  # 0 always receives, all ones never at p = 0.5
+            steps.append(channel)
+            late = channel == 1 and steps.count(0) <= 250
+            return np.full(len(tx_base), (1 << 64) - 1 if late else 0, dtype=np.uint64)
+
+        monkeypatch.setattr(engines, "_word_np", word)
+        for policy in ("mds", "bound"):
+            steps.clear()
+            cfg = ExperimentConfig(k=2, p=0.5, policy=policy, trials=1, master_seed=0)
+            # client 1 receives at transmissions 250 and 251 (0-based) and is last
+            assert run_experiment(cfg).tx_counts.tolist() == [252]
+
+    # both slice threads need the k = 4 table; the first builds it and the second
+    # waits, where both used to miss the cache and build it. The counted calls sleep,
+    # so that a second build would overlap the first.
+    @pytest.mark.parametrize("policy", ["greedy", "rl"])
+    def test_table_built_once_on_two_threads(self, monkeypatch, policy):
+        builds = []
+        if policy == "greedy":  # a fine chain build reads the subspace table once
+            markov._fine_chain.cache_clear()
+            monkeypatch.setattr(markov, "subspace_table", lambda k, real=markov.subspace_table:
+                                builds.append(k) or time.sleep(0.05) or real(k))
+        else:  # a subspace table build takes the span mask of each of its 67 spans
+            gf2.subspace_table.cache_clear()
+            monkeypatch.setattr(gf2, "span_mask", lambda rows, k, real=gf2.span_mask:
+                                builds.append(k) or time.sleep(0.001) or real(rows, k))
+        monkeypatch.setenv("XORCAST_THREADS", "2")
+        cfg = ExperimentConfig(k=4, p=0.5, policy=policy, trials=70_000, master_seed=1)
+        run_experiment(cfg)
+        assert len(builds) == (1 if policy == "greedy" else len(gf2.subspace_table(4)[0]))
+
+    @pytest.mark.parametrize("k, p, dense", [
+        (8, 0.87, True), (8, 0.875, False), (16, 0.7, True), (16, 0.75, False),
+        (32, 0.45, True), (32, 0.5, False), (33, 0.0, False), (5, 0.9, False),
+    ])
+    def test_rl_basis_step_selection(self, monkeypatch, k, p, dense):
+        picked = []
+        for name in ("_rl_dense_block", "_rl_basis_block"):
+            monkeypatch.setattr(engines, name, lambda config, lo, out, name=name: picked.append(name))
+        cfg = ExperimentConfig(k=k, p=p, policy="rl", trials=1, master_seed=0)
+        engines.run_slices(cfg, [(0, 1)])
+        assert picked == ["_rl_dense_block" if dense else "_rl_basis_block"]
 
     def test_cap_below_ideal_mean_refused_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(engines, "_drive", lambda *args: pytest.fail("a trial ran"))
@@ -444,13 +545,13 @@ class TestDriveMemory:
     # of one pool's worth. Span masks at greedy's largest mask k hold 3 * 2^k / 8
     # bytes a trial, 12 KB at k = 15: 2,000 trials held at once would be 24 MB before
     # the step's temporaries, and lossless channels, which grow every row each step,
-    # make the largest temporaries. rl bases at k = 32 hold 408 bytes a trial, and
+    # make the largest temporaries. rl bases at k = 32 hold 387 bytes a trial, and
     # _BLOCK + 5000 trials peaked near 72 MB as three uint64 arrays compacted into
     # fresh copies and near 47 MB as one uint32 array compacted in place.
     @pytest.mark.parametrize("policy, k, p, trial_bytes, many", [
         pytest.param("greedy", engines._MASK_DIM_LIMIT, 0.0,
                      3 * (1 << engines._MASK_DIM_LIMIT) // 8, 2000, id="greedy-k15"),
-        pytest.param("rl", 32, 0.5, 3 * 32 * 4 + 3 * 8, sim._BLOCK + 5000, id="rl-k32"),
+        pytest.param("rl", 32, 0.5, 3 * 32 * 4 + 3, sim._BLOCK + 5000, id="rl-k32"),
     ])
     def test_peak_bounded_by_sub_block(self, policy, k, p, trial_bytes, many):
         run = ("from xorcast import sim\n"
