@@ -410,11 +410,13 @@ class TestRunExperiment:
             # client 1 receives at transmissions 250 and 251 (0-based) and is last
             assert run_experiment(cfg).tx_counts.tolist() == [252]
 
-    # both slice threads need the k = 4 table; the first builds it and the second
-    # waits, where both used to miss the cache and build it. The counted calls sleep,
-    # so that a second build would overlap the first.
+    # every slice thread needs the k = 4 table; the first builds it and the others
+    # wait, where each used to miss the cache and build it. The counted calls sleep,
+    # so that a second build would overlap the first. Three threads run one slice of
+    # 70,000 trials each, more threads than a 2-core machine has cores.
+    @pytest.mark.parametrize("threads", ["2", "3"])
     @pytest.mark.parametrize("policy", ["greedy", "rl"])
-    def test_table_built_once_on_two_threads(self, monkeypatch, policy):
+    def test_table_built_once_on_two_threads(self, monkeypatch, policy, threads):
         builds = []
         if policy == "greedy":  # a fine chain build reads the subspace table once
             markov._fine_chain.cache_clear()
@@ -424,7 +426,7 @@ class TestRunExperiment:
             gf2.subspace_table.cache_clear()
             monkeypatch.setattr(gf2, "span_mask", lambda rows, k, real=gf2.span_mask:
                                 builds.append(k) or time.sleep(0.001) or real(rows, k))
-        monkeypatch.setenv("XORCAST_THREADS", "2")
+        monkeypatch.setenv("XORCAST_THREADS", threads)
         cfg = ExperimentConfig(k=4, p=0.5, policy=policy, trials=70_000, master_seed=1)
         run_experiment(cfg)
         assert len(builds) == (1 if policy == "greedy" else len(gf2.subspace_table(4)[0]))
