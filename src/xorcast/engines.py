@@ -1,8 +1,8 @@
 """sim.run_experiment's vector engines; it imports them, and numpy, on its first call.
 
 Each is a step function on one trial driver, _drive, which hashes, tests receptions, checks
-the cap, refills done rows and holds state in one bounded pool, trial on axis 0 (-1 for the
-pivot-major rl bases). No function is memoized: perfbench clears only preloaded caches."""
+the cap, refills done rows and holds state in one pool (trial on axis 0, -1 for pivot-major
+rl bases). Nothing is memoized: perfbench clears only the caches of modules loaded before it."""
 
 import threading
 
