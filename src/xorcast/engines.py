@@ -173,8 +173,7 @@ def _rl_basis_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
         bits = np.unpackbits(wp.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
                              count=k, bitorder="little")
         terms = np.multiply(rows, bits, dtype=dtype)
-        reduced = np.bitwise_xor.reduce(terms, axis=1)
-        reduced ^= wp
+        reduced = np.bitwise_xor.reduce(terms, axis=1) ^ wp
         # the new pivot bit, 0 where w was already in the span
         low = reduced & (~reduced + dtype.type(1))
         pivot = np.log2((low | (low == 0)).astype(np.float64)).astype(dtype)  # its index
@@ -273,8 +272,9 @@ def run_slices(config: ExperimentConfig, slices: list[tuple[int, int]]) -> np.nd
         block_fn = _counts_block
     elif config.policy == "rl" and config.k <= _TABLE_DIM_LIMIT:
         block_fn = _rl_table_block
-    elif config.policy == "rl":  # the dense step's work per reception grows as 1 / (1 - p)
-        dense = (1 - config.p) * 8 > np.min_scalar_type((1 << config.k) - 1).itemsize
+    elif config.policy == "rl":  # the dense step's work per reception grows as 1 / (1 - p);
+        # row-first measured faster from p = 0.75 on uint32 rows (k > 16), 0.25 on uint64
+        dense = config.p < (0.25 if config.k > 32 else 0.75 if config.k > 16 else 1.0)
         block_fn = _rl_dense_block if dense else _rl_basis_block
     elif config.k <= _TABLE_DIM_LIMIT:
         block_fn = _table_block

@@ -311,10 +311,11 @@ class TestRunExperiment:
                           ("mds", 3), ("bound", 33))
         for p in (0.1, 0.3, 0.7, 0.9)
     ] + [
-        # each side of run_slices' rule for the rl bases, dense where (1 - p) * 8 exceeds
-        # the row dtype's itemsize: uint8 at k = 8, uint16 at 16, uint32 at 32
+        # each side of run_slices' rule for the rl bases, row-first from p = 0.75 on uint32
+        # rows and from 0.25 on uint64, dense elsewhere (uint8 and uint16 rows at any p)
         pytest.param("rl", k, p, zero, id=f"rl-k{k}-p{p}-{'zero' if zero else 'nonzero'}")
-        for k, p in ((8, 0.87), (8, 0.875), (16, 0.7), (16, 0.75), (32, 0.45), (32, 0.5))
+        for k, p in ((8, 0.95), (16, 0.95), (17, 0.7), (17, 0.75), (32, 0.7), (32, 0.75),
+                     (33, 0.2), (33, 0.25), (40, 0.2), (40, 0.25))
         for zero in (False, True)
     ] + [
         pytest.param("greedy", k, p, False, id=f"greedy-k{k}-p{p}")
@@ -344,12 +345,14 @@ class TestRunExperiment:
         assert res.mean_tx >= 5.0
 
     # _drive's pool holds _STATE_BYTES of state: 682 rows of greedy's span masks at
-    # k = 12 (3 * 2^k / 8 bytes a trial), 2,709 of rl's pivot-major bases at k = 32,
-    # p = 0.25 (a uint32 row per bit and an int8 rank per client). The cap is the first
-    # pool's largest count, so the first trial over it starts in a refilled row.
+    # k = 12 (3 * 2^k / 8 bytes a trial), 2,709 of rl's bases at k = 32 (a uint32 row
+    # per bit and an int8 rank per client), pivot-major at p = 0.25 and row-first at
+    # 0.75. The cap is the first pool's largest count, so the first trial over it
+    # starts in a refilled row.
     @pytest.mark.parametrize("policy, k, p, trials, seed, trial_bytes", [
         pytest.param("greedy", 12, 0.5, 1000, 2, 3 * (1 << 12) // 8, id="greedy-k12"),
         pytest.param("rl", 32, 0.25, 2800, 7, 3 * 32 * 4 + 3, id="rl-k32"),
+        pytest.param("rl", 32, 0.75, 2800, 6, 3 * 32 * 4 + 3, id="rl-k32-row-first"),
     ])
     def test_drive_sub_blocks(self, policy, k, p, trials, seed, trial_bytes):
         sub = engines._STATE_BYTES // trial_bytes
@@ -432,8 +435,9 @@ class TestRunExperiment:
         assert len(builds) == (1 if policy == "greedy" else len(gf2.subspace_table(4)[0]))
 
     @pytest.mark.parametrize("k, p, dense", [
-        (8, 0.87, True), (8, 0.875, False), (16, 0.7, True), (16, 0.75, False),
-        (32, 0.45, True), (32, 0.5, False), (33, 0.0, False), (5, 0.9, False),
+        (5, 0.99, True), (16, 0.99, True), (17, 0.7, True), (17, 0.75, False),
+        (32, 0.7, True), (32, 0.75, False), (33, 0.2, True), (33, 0.25, False),
+        (63, 0.0, True), (63, 0.99, False),
     ])
     def test_rl_basis_step_selection(self, monkeypatch, k, p, dense):
         picked = []
@@ -549,11 +553,14 @@ class TestDriveMemory:
     # the step's temporaries, and lossless channels, which grow every row each step,
     # make the largest temporaries. rl bases at k = 32 hold 387 bytes a trial, and
     # _BLOCK + 5000 trials peaked near 72 MB as three uint64 arrays compacted into
-    # fresh copies and near 47 MB as one uint32 array compacted in place.
+    # fresh copies and near 47 MB as one uint32 array compacted in place. At p = 0.5
+    # they run pivot-major, whose step temporaries are as large as the bases, and at
+    # 0.75 row-first; each peaks within 0.5 MB of its sub-block run.
     @pytest.mark.parametrize("policy, k, p, trial_bytes, many", [
         pytest.param("greedy", engines._MASK_DIM_LIMIT, 0.0,
                      3 * (1 << engines._MASK_DIM_LIMIT) // 8, 2000, id="greedy-k15"),
         pytest.param("rl", 32, 0.5, 3 * 32 * 4 + 3, sim._BLOCK + 5000, id="rl-k32"),
+        pytest.param("rl", 32, 0.75, 3 * 32 * 4 + 3, sim._BLOCK + 5000, id="rl-k32-row-first"),
     ])
     def test_peak_bounded_by_sub_block(self, policy, k, p, trial_bytes, many):
         run = ("from xorcast import sim\n"
