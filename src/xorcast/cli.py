@@ -114,8 +114,6 @@ def cmd_bound(args, out) -> int:
 def cmd_simulate(args, out) -> int:
     k = _check_k(args.k)
     p = _check_p(args.p)
-    if args.max_tx < 1:
-        raise UsageError(f"max-tx must be >= 1, got {args.max_tx}")
     try:
         config = sim.ExperimentConfig(
             k=k, p=p, policy=args.policy, trials=args.trials,

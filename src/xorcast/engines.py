@@ -153,7 +153,7 @@ def _rl_table_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
 
 
 def _rl_basis_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
-    """rl trials for k > _TABLE_DIM_LIMIT on fully reduced per-client bases.
+    """rl trials on row-first bases: run_slices' pick from p = 0.75 on uint32, 0.25 on uint64 rows.
 
     basis[i, c, j] is trial i's client c row whose pivot (lowest set bit) is bit
     j, or 0, in the narrowest unsigned dtype that holds k bits. Every row is

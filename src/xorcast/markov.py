@@ -20,6 +20,7 @@ p, so a fractions.Fraction p gives the exact rational expectation:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, fsum
@@ -74,30 +75,9 @@ class TransitionPoly:
     def parse(cls, text: str) -> "TransitionPoly":
         return cls(tuple(_parse_terms(text)))
 
-    @classmethod
-    def zero(cls) -> "TransitionPoly":
-        return cls(())
-
     def evaluate(self, p: float) -> float:
         s = 1 - p
         return sum(c * s**a * p**b for c, a, b in self.monomials)
-
-    def coeffs_in_s(self) -> list[int]:
-        """Integer coefficients over powers of s after substituting p = 1 - s."""
-        if not self.monomials:
-            return [0]
-        degree = max(a + b for _, a, b in self.monomials)
-        out = [0] * (degree + 1)
-        for c, a, b in self.monomials:
-            for j in range(b + 1):
-                out[a + j] += c * ((-1) ** j) * comb(b, j)
-        return out
-
-    def __add__(self, other: "TransitionPoly") -> "TransitionPoly":
-        merged: dict[tuple[int, int], int] = {}
-        for c, a, b in self.monomials + other.monomials:
-            merged[(a, b)] = merged.get((a, b), 0) + c
-        return TransitionPoly(tuple(sorted((c, a, b) for (a, b), c in merged.items() if c)))
 
 
 @dataclass(frozen=True)
@@ -231,10 +211,12 @@ def build_chain(k: int) -> MarkovChainSpec:
 
 def row_sum_coeffs(chain: MarkovChainSpec, i: int) -> list[int]:
     """Integer s-polynomial coefficients of row i's sum after p = 1 - s."""
-    total = TransitionPoly.zero()
-    for entry in chain.transitions[i].values():
-        total = total + entry
-    return total.coeffs_in_s()
+    monomials = [m for entry in chain.transitions[i].values() for m in entry.monomials]
+    out = [0] * (max((a + b for _, a, b in monomials), default=0) + 1)
+    for c, a, b in monomials:  # c s^a p^b = c s^a (1 - s)^b
+        for j in range(b + 1):
+            out[a + j] += c * (-1) ** j * comb(b, j)
+    return out
 
 
 def check_conservation(chain: MarkovChainSpec) -> None:
@@ -308,9 +290,8 @@ def _row_shape(grow: int) -> tuple[list[int], list[int], list[TransitionPoly]]:
     slots[m] indexes m & grow in reps, and polys[t] sums s^|m| p^(3-|m|) over slot t's m."""
     reps = sorted({m & grow for m in range(8)})  # a submask first appears as itself
     slots = [reps.index(m & grow) for m in range(8)]
-    polys = [TransitionPoly.zero() for _ in reps]
-    for m, t in enumerate(slots):
-        polys[t] = polys[t] + TransitionPoly(((1, m.bit_count(), 3 - m.bit_count()),))
+    counts = [Counter(m.bit_count() for m in range(8) if slots[m] == t) for t in range(len(reps))]
+    polys = [TransitionPoly(tuple(sorted((c, a, 3 - a) for a, c in n.items()))) for n in counts]
     return reps, slots, polys
 
 

@@ -64,9 +64,9 @@ class TestTransitionPoly:
             TransitionPoly.parse("")
 
     def test_coeffs_in_s(self):
-        # p^2 = (1-s)^2 = 1 - 2s + s^2
-        assert TransitionPoly.parse("p2").coeffs_in_s() == [1, -2, 1]
-        assert TransitionPoly.parse("s3").coeffs_in_s() == [0, 0, 0, 1]
+        # p^2 = (1-s)^2 = 1 - 2s + s^2, each the one entry of its row
+        assert row_sum_coeffs(_spec([{0: "p2"}]), 0) == [1, -2, 1]
+        assert row_sum_coeffs(_spec([{0: "s3"}]), 0) == [0, 0, 0, 1]
 
 
 class TestAggregatedChains:
@@ -83,7 +83,7 @@ class TestAggregatedChains:
 
     def test_k2_first_row(self):
         row = build_chain(2).transitions[0]
-        entry = [row.get(j, TransitionPoly.zero()) for j in range(12)]
+        entry = [row.get(j, TransitionPoly(())) for j in range(12)]
         assert entry[0].monomials == ((1, 0, 3),)   # p^3
         assert entry[1].monomials == ((3, 1, 2),)   # 3sp^2
         assert entry[2].monomials == ((3, 2, 1),)   # 3s^2p
@@ -92,7 +92,7 @@ class TestAggregatedChains:
 
     def test_k3_stuck_state_self_loop(self):
         chain = build_chain(3)
-        entry = chain.transitions[24].get(24, TransitionPoly.zero())
+        entry = chain.transitions[24].get(24, TransitionPoly(()))
         assert set(entry.monomials) == {(1, 1, 2), (1, 0, 3)}  # p^2(s+p)
         assert entry.evaluate(0.3) == pytest.approx(0.09)
 
@@ -121,7 +121,7 @@ class TestAggregatedChains:
         for k in (2, 3):
             chain = build_chain(k)
             i = chain.absorbing_index
-            assert chain.transitions[i].get(i, TransitionPoly.zero()).evaluate(0.4) == 1.0
+            assert chain.transitions[i].get(i, TransitionPoly(())).evaluate(0.4) == 1.0
 
     def test_entries_are_probabilities(self):
         for k in (2, 3):

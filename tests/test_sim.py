@@ -322,6 +322,8 @@ class TestRunExperiment:
         for k in (5, 8, 12, engines._MASK_DIM_LIMIT, engines._MASK_DIM_LIMIT + 1)
         for p in (0.0, 0.4, 0.8)
     ] + [
+        # just above the joint-state table limit greedy runs on span masks
+        pytest.param("greedy", 5, 0.3, False, id="greedy-k5-p0.3"),
         pytest.param("greedy", sim.MAX_MASK_DIM, 0.4, False, id=f"greedy-k{sim.MAX_MASK_DIM}-p0.4")
     ] + [
         pytest.param("rl", k, p, zero, id=f"rl-k{k}-p{p}-{'zero' if zero else 'nonzero'}")
@@ -335,14 +337,6 @@ class TestRunExperiment:
         scalar = np.array([run_trial(cfg, i) for i in range(cfg.trials)])
         res = run_experiment(cfg)
         assert np.array_equal(scalar, res.tx_counts)
-
-    def test_mask_engine_greedy_k5(self):
-        # just above the joint-state table limit greedy runs on span masks
-        cfg = ExperimentConfig(k=5, p=0.3, policy="greedy", trials=60, master_seed=4)
-        res = run_experiment(cfg)
-        assert np.array_equal(res.tx_counts,
-                              np.array([run_trial(cfg, i) for i in range(60)]))
-        assert res.mean_tx >= 5.0
 
     # _drive's pool holds _STATE_BYTES of state: 682 rows of greedy's span masks at
     # k = 12 (3 * 2^k / 8 bytes a trial), 2,709 of rl's bases at k = 32 (a uint32 row
