@@ -71,6 +71,7 @@ def p_delta(beta: int, p: float) -> float:
     codeword innovative for all three: each transmission reaches the laggard
     redundantly with probability s*p^2 while the stuck phase persists.
     """
+    beta = _as_int("beta", beta)
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
     p = _check_loss(p)
@@ -177,8 +178,9 @@ def mds_expected(query: BoundQuery) -> float:
 
 def retransmission_ratio(expected_tx: float, k: int) -> float:
     """Transmissions per input packet, >= 1."""
+    k = _as_int("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if expected_tx < k:
+    if not expected_tx >= k:  # nan too
         raise ValueError(f"expected transmissions {expected_tx} below k={k}")
     return expected_tx / k

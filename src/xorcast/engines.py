@@ -11,8 +11,8 @@ import numpy as np
 from . import markov, sim
 from .gf2 import _low_halves, subspace_table
 from .policy import _coverage_levels
-from .sim import (_BLOCK, _GAMMA_CHANNEL, _GAMMA_TRIAL, _GAMMA_TX, _MASK64, _MUL1, _MUL2,
-                  CHANNEL_POLICY, ExperimentConfig, TransmissionCapError, run_trial)
+from .sim import (_BLOCK, _MUL1, _MUL2, CHANNEL_POLICY, ExperimentConfig, TransmissionCapError,
+                  _start_base, _trial_base, _tx_base, _word, run_trial)
 
 # _drive's pool holds at most _STATE_BYTES of engine state (or one trial's): int8 counters
 # take 3 B a row, the tables 8 or 24 B, and all fill _BLOCK rows; span masks and bases fewer.
@@ -37,26 +37,14 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _trial_base_np(seed: int, trials: np.ndarray) -> np.ndarray:
-    return _mix64_np(np.uint64(seed) + (trials + np.uint64(1)) * np.uint64(_GAMMA_TRIAL))
-
-
-def _tx_base_np(trial_base: np.ndarray, tx: int) -> np.ndarray:
-    return _mix64_np(trial_base + np.uint64(((tx + 1) * _GAMMA_TX) & _MASK64))
-
-
-def _word_np(tx_base: np.ndarray, channel: int) -> np.ndarray:
-    return _mix64_np(tx_base + np.uint64(((channel + 1) * _GAMMA_CHANNEL) & _MASK64))
-
-
 def _rl_vectors(tx_base: np.ndarray, config: ExperimentConfig, dtype) -> np.ndarray:
     """Coding vectors of the rl policy, drawn as _rl_vector draws them."""
     shift = np.uint64(64 - config.k)
-    w = _word_np(tx_base, CHANNEL_POLICY) >> shift
+    w = _word(tx_base, CHANNEL_POLICY, _mix64_np) >> shift
     channel, zero = CHANNEL_POLICY, np.flatnonzero(w == 0)
     while zero.size and not config.rl_include_zero:
         channel += 1
-        w[zero] = _word_np(tx_base[zero], channel) >> shift
+        w[zero] = _word(tx_base[zero], channel, _mix64_np) >> shift
         zero = zero[w[zero] == 0]
     return w.astype(dtype, copy=False)
 
@@ -69,21 +57,20 @@ def _drive(config: ExperimentConfig, lo: int, out: np.ndarray, make_state, step,
     make_state(1) measures it) runs them all. Each transmission, step(h, recv,
     state) advances every row in place, given the transmission hashes h and the
     three per-client reception masks recv, and returns the mask of rows whose
-    trial is now done. A done row takes the next pending trial: one started at
-    step start has base _trial_base - start * _GAMMA_TX, so step t is its
-    transmission t - start. Once none is pending, done rows are compacted out.
+    trial is now done. A done row takes the next pending trial, on sim's _start_base.
+    Once none is pending, done rows are compacted out.
     """
     trials, cap, threshold = len(out), config.max_tx_per_trial, (1.0 - config.p) * 2.0**53
     rows = min(trials, _BLOCK, max(1, _STATE_BYTES // sum(a.nbytes for a in make_state(1))))
     idx, start = np.arange(rows), np.zeros(rows, dtype=np.int64)
-    base = _trial_base_np(config.master_seed, (idx + lo).astype(np.uint64))
+    base = _trial_base(config.master_seed, (idx + lo).astype(np.uint64), _mix64_np)
     state, t, started = make_state(rows), 0, rows
     while idx.size:
         if t - int(start.min()) >= cap:  # the lowest trial left started first
             raise TransmissionCapError(lo + int(idx.min()), cap)
-        h = _tx_base_np(base, t)
-        # run_trial's _draw(h, c) < 1 - p with both sides scaled by 2^53, so exact
-        recv = [_word_np(h, c) >> np.uint64(11) < threshold for c in range(3)]
+        h = _tx_base(base, t, _mix64_np)
+        # run_trial's reception test: the word's top 53 bits against (1 - p) * 2^53
+        recv = [_word(h, c, _mix64_np) >> np.uint64(11) < threshold for c in range(3)]
         done = step(h, recv, state)
         t += 1
         ended = np.flatnonzero(done)  # gathers by index, far cheaper than by a mask
@@ -93,8 +80,8 @@ def _drive(config: ExperimentConfig, lo: int, out: np.ndarray, make_state, step,
                 free = ended[:trials - started]
                 done[free] = False
                 idx[free] = fresh = np.arange(started, started + free.size)
-                base[free] = (_trial_base_np(config.master_seed, (fresh + lo).astype(np.uint64))
-                              + np.uint64((-t * _GAMMA_TX) & _MASK64))
+                base[free] = _start_base(_trial_base(config.master_seed,
+                                                     (fresh + lo).astype(np.uint64), _mix64_np), t)
                 start[free] = t
                 for array, init in zip(state, make_state(free.size)):
                     array.swapaxes(0, axis)[free] = init.swapaxes(0, axis)

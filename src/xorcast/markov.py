@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, fsum
 
-from .bounds import _check_loss
+from .bounds import _as_int, _check_loss
 from .gf2 import subspace_table
 from .policy import _scan_spans
 
@@ -303,7 +303,7 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     sorted triple; mask m's successor adds the digit steps nxt[span][w] - span of
     the clients that received. Treat the result as immutable; it is cached and shared.
     """
-    return _fine_chain(k, tie_break)
+    return _fine_chain(_as_int("k", k), tie_break)
 
 
 @lru_cache(maxsize=None)

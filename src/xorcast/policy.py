@@ -11,6 +11,7 @@ the answer is the best nonempty level, and the tie-break picks a set bit.
 
 from __future__ import annotations
 
+from .bounds import _as_int
 from .gf2 import MAX_DIM, MAX_MASK_DIM, span_mask
 
 N_CLIENTS = 3
@@ -27,12 +28,13 @@ class CoverageSearchError(RuntimeError):
 def _unsatisfied_spans(clients, k: int) -> list[int]:
     """Span masks of the clients holding fewer than k rows, in client order.
 
-    The one input check of the Lemma 1 functions: three clients, k in
-    [1, MAX_MASK_DIM], every row inside GF(2)^k and every client's rows in the
+    The one input check of the Lemma 1 functions: three clients, an integer k
+    in [1, MAX_MASK_DIM], every row inside GF(2)^k and every client's rows in the
     fully reduced form rref_insert keeps, so that len(rows) is the rank.
     """
     if len(clients) != N_CLIENTS:
         raise ValueError(f"exactly {N_CLIENTS} clients required, got {len(clients)}")
+    k = _as_int("k", k)
     if not 1 <= k <= MAX_MASK_DIM:
         raise ValueError(f"k must be in [1, {MAX_MASK_DIM}] for span masks, got {k}")
     for rows in clients:
@@ -138,6 +140,7 @@ def lemma1_counterexample(k: int) -> tuple[tuple[int, ...], ...]:
     w_1 + w_2 = 1 at once. For k=2 this is exactly the state where the
     clients hold p1, p2 and p1+p2.
     """
+    k = _as_int("k", k)
     if not 2 <= k <= MAX_DIM:
         raise ValueError(f"k must be in [2, {MAX_DIM}], got {k}")
     tail = tuple(1 << j for j in range(2, k))

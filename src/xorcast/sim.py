@@ -113,20 +113,23 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _trial_base(seed: int, trial: int) -> int:
-    return _mix64((seed + (trial + 1) * _GAMMA_TRIAL) & _MASK64)
+# The stream's counter layout, for ints and, with engines' in-place mixer, uint64 arrays:
+# each sum is fresh, and a constant added to an array is an int below 2^64.
+def _trial_base(seed: int, trial, mix=_mix64):
+    return mix(seed + (trial + 1) * _GAMMA_TRIAL)
 
 
-def _tx_base(trial_base: int, tx: int) -> int:
-    return _mix64((trial_base + (tx + 1) * _GAMMA_TX) & _MASK64)
+def _tx_base(trial_base, tx: int, mix=_mix64):
+    return mix(trial_base + ((tx + 1) * _GAMMA_TX & _MASK64))
 
 
-def _word(tx_base: int, channel: int) -> int:
-    return _mix64((tx_base + (channel + 1) * _GAMMA_CHANNEL) & _MASK64)
+def _word(tx_base, channel: int, mix=_mix64):
+    return mix(tx_base + ((channel + 1) * _GAMMA_CHANNEL & _MASK64))
 
 
-def _draw(tx_base: int, channel: int) -> float:
-    return (_word(tx_base, channel) >> 11) * 2.0**-53
+def _start_base(trial_base, start: int):
+    """Base under which step t is transmission t - start; a mixer reduces an int mod 2^64."""
+    return trial_base + (-start * _GAMMA_TX & _MASK64)
 
 
 def _rl_vector(tx_base: int, config: ExperimentConfig) -> int:
@@ -140,7 +143,7 @@ def _rl_vector(tx_base: int, config: ExperimentConfig) -> int:
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> int:
     """One trial, scalar reference path; returns the transmission count."""
-    s = 1.0 - config.p
+    threshold = (1.0 - config.p) * 2.0**53  # _drive's, so receptions match it exactly
     k = config.k
     cap = config.max_tx_per_trial
     base = _trial_base(config.master_seed, trial_index)
@@ -170,7 +173,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> int:
         elif config.policy == "rl":
             w = _rl_vector(h, config)
         for c in range(3):
-            if held[c] != done[c] and _draw(h, c) < s:
+            if held[c] != done[c] and _word(h, c) >> 11 < threshold:
                 held[c] = grow(held[c], w)
         t += 1
     return t

@@ -62,8 +62,9 @@ class TestPDelta:
         assert p_delta(2, 0.5) == pytest.approx(0.0625)
 
     def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            p_delta(0, 0.5)
+        for beta in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError):
+                p_delta(beta, 0.5)
         with pytest.raises(ValueError):
             p_delta(1, 1.0)
 
@@ -253,6 +254,10 @@ class TestRetransmissionRatio:
             retransmission_ratio(1.5, 2)
         with pytest.raises(ValueError):
             retransmission_ratio(1.0, 0)
+        with pytest.raises(ValueError):  # nan < k is false
+            retransmission_ratio(float("nan"), 2)
+        with pytest.raises(ValueError):
+            retransmission_ratio(3.0, True)
 
 
 class TestBoundQuery:

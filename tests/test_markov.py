@@ -171,10 +171,9 @@ class TestFineChain:
         assert absorption_time_fine(build_fine_chain(3), 0.0) == pytest.approx(3.0)
 
     def test_dimension_limit(self):
-        with pytest.raises(ValueError):
-            build_fine_chain(5)
-        with pytest.raises(ValueError):
-            build_fine_chain(0)
+        for k in (5, 0, True, 2.0):
+            with pytest.raises(ValueError):
+                build_fine_chain(k)
 
     def test_tie_break_validation(self):
         with pytest.raises(ValueError):

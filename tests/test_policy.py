@@ -247,7 +247,7 @@ class TestLemma1Counterexample:
         assert distinct_dependent_count(st, 3) == 7
 
     def test_k_below_two_rejected(self):
-        for k in (1, 0, -1):
+        for k in (1, 0, -1, True, 2.0):
             with pytest.raises(ValueError):
                 lemma1_counterexample(k)
 
@@ -282,6 +282,8 @@ BAD_INPUTS = {
     "k zero": (EMPTY, 0),
     "k negative": (EMPTY, -1),
     "k above mask range": (EMPTY, MAX_MASK_DIM + 1),
+    "k bool": (EMPTY, True),
+    "k float": (EMPTY, 2.0),
     "row at bit k": (((1 << 3,), (), ()), 3),
     "row above k": (((), (0b1, 0b1 << 7), ()), 3),
     "negative row": (((), (), (-1,)), 3),
@@ -299,5 +301,6 @@ def test_bad_k_or_row_rejected(fn, case):
     # the tuple entry points reject what would otherwise fail deep in the mask
     # code, or give a wrong answer from a row count that is not the rank
     rows, k = BAD_INPUTS[case]
-    with pytest.raises(ValueError, match="clients required|k must be in|at or above k|not in fully reduced"):
+    with pytest.raises(ValueError, match="clients required|k must be (in|an integer)|at or above k|"
+                                         "not in fully reduced"):
         fn(rows, k)

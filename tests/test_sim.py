@@ -175,26 +175,36 @@ class TestParallelMap:
 
 
 class TestHashStreams:
+    # with one definition of the counter layout, only a pin catches a change to it
+    @pytest.mark.parametrize("seed, trial, tx, channel, word", [
+        (0, 0, 0, 0, 0xEEDFB3542ECE1123), (1, 5, 7, 3, 0xC3DF42B3B7718B74),
+        (2**64 - 1, 123456, 10**6, 2, 0x30E50BB625DA6B6B)])
+    def test_words_pinned(self, seed, trial, tx, channel, word):
+        assert sim._word(sim._tx_base(sim._trial_base(seed, trial), tx), channel) == word
+        mix, trials = engines._mix64_np, np.array([trial], dtype=np.uint64)
+        assert sim._word(sim._tx_base(sim._trial_base(seed, trials, mix), tx, mix),
+                         channel, mix).tolist() == [word]
+
     def test_scalar_vector_prf_equality(self):
-        trials = np.arange(0, 257, dtype=np.uint64)
+        mix, trials = engines._mix64_np, np.arange(0, 257, dtype=np.uint64)
         for tx in (0, 1, 7, 1023):
-            base_v = engines._tx_base_np(engines._trial_base_np(12345, trials), tx)
+            base_v = sim._tx_base(sim._trial_base(12345, trials, mix), tx, mix)
             for channel in range(5):
-                vec = engines._word_np(base_v, channel)
+                vec = sim._word(base_v, channel, mix)
                 for t in (0, 1, 100, 256):
                     scalar = sim._word(sim._tx_base(sim._trial_base(12345, t), tx), channel)
                     assert scalar == vec[t]
 
     def test_uniform_range_and_spread(self):
-        trials = np.arange(0, 20000, dtype=np.uint64)
-        top = engines._word_np(engines._tx_base_np(engines._trial_base_np(7, trials), 0), 1) >> 11
+        mix, trials = engines._mix64_np, np.arange(0, 20000, dtype=np.uint64)
+        top = sim._word(sim._tx_base(sim._trial_base(7, trials, mix), 0, mix), 1, mix) >> 11
         assert top.max() < 2**53
         assert abs(top.mean() / 2**53 - 0.5) < 0.01
         assert abs(np.mean(top < 0.25 * 2**53) - 0.25) < 0.01
 
-    # _drive receives where (word >> 11) < (1 - p) * 2^53, run_trial where _draw(h, c) =
-    # (word >> 11) * 2^-53 < 1 - p: the same test scaled by a power of two. Checked on
-    # random words and on those whose top 53 bits are next to floor((1 - p) * 2^53).
+    # _drive and run_trial receive where (word >> 11) < (1 - p) * 2^53, the float draw
+    # (word >> 11) * 2^-53 < 1 - p scaled by a power of two. Checked on random words
+    # and on those whose top 53 bits are next to floor((1 - p) * 2^53).
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9, 0.999])
     def test_scaled_threshold_equals_draw(self, monkeypatch, p):
         edge = int((1 - p) * 2**53)
@@ -203,13 +213,12 @@ class TestHashStreams:
         rng = np.random.default_rng(edge)
         words = np.concatenate([np.array(near, dtype=np.uint64),
                                 rng.integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False)])
-        monkeypatch.setattr(engines, "_word_np", lambda tx_base, channel: words.copy())
-        monkeypatch.setattr(sim, "_word", lambda tx_base, channel: tx_base)  # _draw(w, c) of w
+        monkeypatch.setattr(engines, "_word", lambda tx_base, channel, mix: words.copy())
         seen = []
         cfg = ExperimentConfig(k=2, p=p, policy="mds", trials=len(words), master_seed=1)
         engines._drive(cfg, 0, np.empty(len(words), dtype=np.int32), lambda n: [np.zeros(n)],
                        lambda h, recv, state: seen.extend(recv) or np.ones(len(h), dtype=bool))
-        expected = [sim._draw(int(w), 0) < 1 - p for w in words]
+        expected = [(int(w) >> 11) * 2.0**-53 < 1 - p for w in words]
         assert 0 < sum(expected) < len(words) or p == 0.0
         for c in range(3):
             assert seen[c].tolist() == expected
@@ -395,12 +404,12 @@ class TestRunExperiment:
     def test_counts_stop_at_zero(self, monkeypatch):
         steps = []
 
-        def word(tx_base, channel):  # 0 always receives, all ones never at p = 0.5
+        def word(tx_base, channel, mix):  # 0 always receives, all ones never at p = 0.5
             steps.append(channel)
             late = channel == 1 and steps.count(0) <= 250
             return np.full(len(tx_base), (1 << 64) - 1 if late else 0, dtype=np.uint64)
 
-        monkeypatch.setattr(engines, "_word_np", word)
+        monkeypatch.setattr(engines, "_word", word)
         for policy in ("mds", "bound"):
             steps.clear()
             cfg = ExperimentConfig(k=2, p=0.5, policy=policy, trials=1, master_seed=0)
@@ -595,7 +604,8 @@ class TestRlDraws:
     def test_k60_low_bits_uniform(self, include_zero):
         cfg = ExperimentConfig(k=60, p=0.5, policy="rl", trials=1, master_seed=1,
                                rl_include_zero=include_zero)
-        h = engines._tx_base_np(engines._trial_base_np(1, np.arange(8000, dtype=np.uint64)), 0)
+        mix = engines._mix64_np
+        h = sim._tx_base(sim._trial_base(1, np.arange(8000, dtype=np.uint64), mix), 0, mix)
         w = engines._rl_vectors(h, cfg, np.uint64)
         assert [sim._rl_vector(int(x), cfg) for x in h[:500]] == w[:500].tolist()
         # 1000 expected per pattern; 150 is five binomial standard deviations
@@ -605,7 +615,8 @@ class TestRlDraws:
     @pytest.mark.parametrize("k", [1, 2])
     def test_zero_redrawn_at_small_k(self, k):
         cfg = ExperimentConfig(k=k, p=0.5, policy="rl", trials=1, master_seed=1)
-        h = engines._tx_base_np(engines._trial_base_np(1, np.arange(4000, dtype=np.uint64)), 0)
+        mix = engines._mix64_np
+        h = sim._tx_base(sim._trial_base(1, np.arange(4000, dtype=np.uint64), mix), 0, mix)
         w = engines._rl_vectors(h, cfg, np.intp)
         assert w.min() >= 1 and w.max() < 1 << k
         assert [sim._rl_vector(int(x), cfg) for x in h] == w.tolist()
