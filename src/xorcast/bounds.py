@@ -32,10 +32,17 @@ _TAIL_EPSILON = 1e-12  # series truncation tolerance
 _CHAIN_CROSSOVER = 0.5
 
 
-def _as_int(name: str, value) -> int:  # any type with __index__ but bool, numpy's too
+def _as_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """The one check of a public integer: any type with __index__ (numpy's too) but
+    bool, >= lo or in [lo, hi] where they are given, returned as an int."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return index(value)
+    value = index(value)
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
 def _check_loss(p: float) -> float:  # any Real but bool, as a float unless Rational
@@ -54,9 +61,7 @@ class BoundQuery:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _as_int("k", self.k))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _as_int("k", self.k, 1))
         object.__setattr__(self, "p", _check_loss(self.p))
 
     @property
@@ -71,9 +76,7 @@ def p_delta(beta: int, p: float) -> float:
     codeword innovative for all three: each transmission reaches the laggard
     redundantly with probability s*p^2 while the stuck phase persists.
     """
-    beta = _as_int("beta", beta)
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
+    beta = _as_int("beta", beta, 1)
     p = _check_loss(p)
     s = 1.0 - p
     stay_and_receive = s * p * p
@@ -178,9 +181,7 @@ def mds_expected(query: BoundQuery) -> float:
 
 def retransmission_ratio(expected_tx: float, k: int) -> float:
     """Transmissions per input packet, >= 1."""
-    k = _as_int("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _as_int("k", k, 1)
     if not expected_tx >= k:  # nan too
         raise ValueError(f"expected transmissions {expected_tx} below k={k}")
     return expected_tx / k

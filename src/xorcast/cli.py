@@ -238,7 +238,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--p", type=float, required=True)
     p_sim.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--max-tx", type=int, default=1_000_000,
+    p_sim.add_argument("--max-tx", type=int, default=sim.ExperimentConfig.max_tx_per_trial,
                        help="per-trial transmission cap")
     p_sim.add_argument("--include-zero", action="store_true",
                        help="let the random-linear policy draw the zero vector")

@@ -113,7 +113,7 @@ def _table_block(config: ExperimentConfig, lo: int, out: np.ndarray) -> None:
         chain = markov.build_fine_chain(config.k, "smallest")
     flat = np.array([row or (i,) * 8 for i, row in enumerate(chain.mask_successors)],
                     dtype=np.intp).ravel()
-    absorbing = chain.absorbing_index
+    absorbing = chain.n_states - 1
 
     def step(h, recv, state):
         state[0] = flat[state[0] << 3 | recv[0] | recv[1] << 1 | recv[2] << 2]

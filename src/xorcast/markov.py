@@ -9,10 +9,11 @@ chain is the independent oracle they are validated against: the joint decoder
 states under greedy, closed as integer codes of gf2.subspace_table index triples.
 
 Both chains keep sparse rows {j: entry}, and every off-diagonal transition goes
-to a higher index (it strictly raises total rank), so (I - Q) mu = 1 is
-triangular and one reverse pass mu_i = (1 + sum_{j>i} a_ij mu_j) / sum_{j>i} a_ij
-solves it (1 - a_ii would cancel near p = 1). The pass runs in the arithmetic of
-p, so a fractions.Fraction p gives the exact rational expectation:
+to a higher index (it strictly raises total rank). The last state can then only
+return to itself: it is the absorbing one. (I - Q) mu = 1 is triangular, and one
+reverse pass mu_i = (1 + sum_{j>i} a_ij mu_j) / sum_{j>i} a_ij solves it
+(1 - a_ii would cancel near p = 1). The pass runs in the arithmetic of p, so a
+fractions.Fraction p gives the exact rational expectation:
 
     expected_absorption_time(build_chain(2), Fraction(1, 2)) == Fraction(17620, 3087)
 """
@@ -87,7 +88,6 @@ class MarkovChainSpec:
     k: int
     descriptions: tuple[str, ...]
     transitions: tuple[dict[int, TransitionPoly], ...]
-    absorbing_index: int
 
     @property
     def n_states(self) -> int:
@@ -195,18 +195,17 @@ _K3_ROWS: tuple[dict[int, str], ...] = (
 def _assemble(k: int, descriptions, rows) -> MarkovChainSpec:
     transitions = tuple({j: TransitionPoly.parse(text) for j, text in sorted(row.items())}
                         for row in rows)
-    return MarkovChainSpec(k=k, descriptions=tuple(descriptions), transitions=transitions,
-                           absorbing_index=len(descriptions) - 1)
+    return MarkovChainSpec(k=k, descriptions=tuple(descriptions), transitions=transitions)
+
+
+def build_chain(k: int) -> MarkovChainSpec:
+    """Aggregated chain for k packets, k = 2 or 3; cached and shared: treat it as immutable."""
+    return _aggregated_chain(_as_int("k", k, 2, 3))  # ahead of the cache: 2.0 == 2 there
 
 
 @lru_cache(maxsize=None)
-def build_chain(k: int) -> MarkovChainSpec:
-    """Aggregated chain for k packets; only k=2 and k=3 are modeled."""
-    if k == 2:
-        return _assemble(2, _K2_DESCRIPTIONS, _K2_ROWS)
-    if k == 3:
-        return _assemble(3, _K3_DESCRIPTIONS, _K3_ROWS)
-    raise ValueError(f"aggregated chain only available for k in {{2, 3}}, got {k}")
+def _aggregated_chain(k: int) -> MarkovChainSpec:
+    return _assemble(k, *{2: (_K2_DESCRIPTIONS, _K2_ROWS), 3: (_K3_DESCRIPTIONS, _K3_ROWS)}[k])
 
 
 def row_sum_coeffs(chain: MarkovChainSpec, i: int) -> list[int]:
@@ -228,14 +227,12 @@ def check_conservation(chain: MarkovChainSpec) -> None:
 
 
 def expected_absorption_time(chain: MarkovChainSpec | FineChain, p: float) -> float:
-    """Exact expected transmissions from state 0 until all clients reach full rank;
-    a Fraction p gives a Fraction."""
+    """Exact expected transmissions from state 0 until all clients reach full rank,
+    in the last state, which is absorbing; a Fraction p gives a Fraction."""
     p = _check_loss(p)
-    mu = [0 * p] * chain.n_states
+    mu = [0 * p] * chain.n_states  # 0 at the absorbing state, which the pass skips
     values = {}  # keyed by id: the chain holds every entry for the whole solve
-    for i in range(chain.n_states - 1, -1, -1):
-        if i == chain.absorbing_index:
-            continue
+    for i in range(chain.n_states - 2, -1, -1):
         exits, off = [], 0 * p
         for j, entry in chain.transitions[i].items():
             if j < i:
@@ -265,7 +262,8 @@ class FineChain:
     """Joint decoder-state chain under the greedy policy; the validation oracle.
 
     states are triples of RREF basis-row tuples, index 0 the all-empty state,
-    sorted stably by total rank. choices[i] is the greedy codeword of state i.
+    sorted stably by total rank, so the last state is absorbing: every client
+    at full rank. choices[i] is the greedy codeword of state i.
     mask_successors[i][m] is the successor when reception mask m (bit c set =
     client c received) occurs; transitions count the 8 masks per successor
     and number of receptions into polynomial entries, shared between rows.
@@ -277,7 +275,6 @@ class FineChain:
     choices: tuple[int | None, ...]
     mask_successors: tuple[tuple[int, ...] | None, ...]
     transitions: tuple[dict[int, TransitionPoly], ...]
-    absorbing_index: int
 
     @property
     def n_states(self) -> int:
@@ -303,15 +300,11 @@ def build_fine_chain(k: int, tie_break: str = "smallest") -> FineChain:
     sorted triple; mask m's successor adds the digit steps nxt[span][w] - span of
     the clients that received. Treat the result as immutable; it is cached and shared.
     """
-    return _fine_chain(_as_int("k", k), tie_break)
+    return _fine_chain(_as_int("k", k, 1, MAX_FINE_DIM), tie_break)
 
 
 @lru_cache(maxsize=None)
 def _fine_chain(k: int, tie_break: str) -> FineChain:
-    if not 1 <= k <= MAX_FINE_DIM:
-        raise ValueError(f"fine chain supports 1 <= k <= {MAX_FINE_DIM}, got {k}: "
-                         "joint state space grows as the cube of the subspace count")
-
     bases, members, nxt = subspace_table(k)
     size = len(bases)
     full, square, top = size - 1, size * size, size**3 - 1  # top: every span full
@@ -354,8 +347,6 @@ def _fine_chain(k: int, tie_break: str) -> FineChain:
         choices.append(w)
         mask_successors.append(tuple([succ[t] for t in slots]))
         transitions.append(dict(zip(succ, polys)))
-    last = len(order) - 1
     return FineChain(k=k, tie_break=tie_break, states=tuple(states[old] for old in order),
                      choices=(*choices, None), mask_successors=(*mask_successors, None),
-                     transitions=(*transitions, {last: TransitionPoly.parse("1")}),
-                     absorbing_index=last)
+                     transitions=(*transitions, {len(order) - 1: TransitionPoly.parse("1")}))

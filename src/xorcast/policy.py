@@ -34,9 +34,7 @@ def _unsatisfied_spans(clients, k: int) -> list[int]:
     """
     if len(clients) != N_CLIENTS:
         raise ValueError(f"exactly {N_CLIENTS} clients required, got {len(clients)}")
-    k = _as_int("k", k)
-    if not 1 <= k <= MAX_MASK_DIM:
-        raise ValueError(f"k must be in [1, {MAX_MASK_DIM}] for span masks, got {k}")
+    k = _as_int("k", k, 1, MAX_MASK_DIM)
     for rows in clients:
         if any(row >> k for row in rows):
             raise ValueError(f"a row has a bit at or above k={k}")
@@ -94,8 +92,8 @@ def sufficient_by_counting(ranks, k: int) -> bool:
     Sums 2^r - 1 over unsatisfied clients only; a satisfied client constrains
     nothing. The test is sufficient, not necessary.
     """
-    if any(not 0 <= r <= k for r in ranks):
-        raise ValueError(f"ranks {tuple(ranks)} out of range for k={k}")
+    k = _as_int("k", k, 1, MAX_DIM)
+    ranks = [_as_int("rank", r, 0, k) for r in ranks]
     total = sum((1 << r) - 1 for r in ranks if r < k)
     return total < (1 << k) - 1
 
@@ -140,9 +138,7 @@ def lemma1_counterexample(k: int) -> tuple[tuple[int, ...], ...]:
     w_1 + w_2 = 1 at once. For k=2 this is exactly the state where the
     clients hold p1, p2 and p1+p2.
     """
-    k = _as_int("k", k)
-    if not 2 <= k <= MAX_DIM:
-        raise ValueError(f"k must be in [2, {MAX_DIM}], got {k}")
+    k = _as_int("k", k, 2, MAX_DIM)
     tail = tuple(1 << j for j in range(2, k))
     return (
         (0b01,) + tail,  # w_2 = 0: holds p1

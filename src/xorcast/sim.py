@@ -71,18 +71,15 @@ class ExperimentConfig:
     rl_include_zero: bool = False
 
     def __post_init__(self):
-        for name in ("k", "trials", "master_seed", "max_tx_per_trial"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if not 1 <= self.k <= MAX_DIM:
-            raise ValueError(f"k must be in [1, {MAX_DIM}], got {self.k}")
+        for name, *limits in (("k", 1, MAX_DIM), ("trials", 1), ("master_seed",),
+                              ("max_tx_per_trial",)):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), *limits))
         object.__setattr__(self, "p", _check_loss(self.p))
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.policy == "greedy" and self.k > MAX_MASK_DIM:
             raise ValueError(f"greedy selects codewords on 2^k-bit span masks and "
                              f"supports k <= {MAX_MASK_DIM}, got {self.k}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed <= _MASK64:  # the hash reads the seed as 64 bits
             raise ValueError(f"seed must be in [0, 2^64), got {self.master_seed}")
         if not 1 <= self.max_tx_per_trial < 2**31:  # the engines count transmissions in int32

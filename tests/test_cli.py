@@ -373,7 +373,7 @@ class TestFigureRows:
             monkeypatch.delenv("XORCAST_THREADS", raising=False)
             serial = cli.figure_rows(which, [0.1, 0.4], trials, 11, 4)
             # cold caches: the threads build the chains and tables concurrently
-            markov.build_chain.cache_clear()
+            markov._aggregated_chain.cache_clear()
             gf2.subspace_table.cache_clear()
             monkeypatch.setenv("XORCAST_THREADS", "6")
             assert cli.figure_rows(which, [0.1, 0.4], trials, 11, 4) == serial, which

@@ -73,13 +73,14 @@ class TestAggregatedChains:
     def test_shapes(self):
         assert build_chain(2).n_states == 12
         assert build_chain(3).n_states == 29
-        assert build_chain(2).absorbing_index == 11
-        assert build_chain(3).absorbing_index == 28
 
     def test_unsupported_k(self):
-        for k in (1, 4, 5):
+        for k in (1, 4, 5, 2.0, True):
             with pytest.raises(ValueError):
                 build_chain(k)
+        build_chain(2)  # a cached int entry must not answer for 2.0
+        with pytest.raises(ValueError, match="k must be an integer"):
+            build_chain(2.0)
 
     def test_k2_first_row(self):
         row = build_chain(2).transitions[0]
@@ -120,7 +121,7 @@ class TestAggregatedChains:
     def test_absorbing_row_is_unit(self):
         for k in (2, 3):
             chain = build_chain(k)
-            i = chain.absorbing_index
+            i = chain.n_states - 1
             assert chain.transitions[i].get(i, TransitionPoly(())).evaluate(0.4) == 1.0
 
     def test_entries_are_probabilities(self):
@@ -227,7 +228,7 @@ class TestFineChain:
     def test_choices_cover_transients(self):
         chain = build_fine_chain(2)
         for i, choice in enumerate(chain.choices):
-            if i == chain.absorbing_index:
+            if i == chain.n_states - 1:
                 assert choice is None
             else:
                 assert 1 <= choice < 4
@@ -236,8 +237,7 @@ class TestFineChain:
 def _spec(rows):
     return MarkovChainSpec(k=1, descriptions=tuple(f"state {i}" for i in range(len(rows))),
                            transitions=tuple({j: TransitionPoly.parse(t) for j, t in row.items()}
-                                             for row in rows),
-                           absorbing_index=len(rows) - 1)
+                                             for row in rows))
 
 
 class TestExactSolver:
@@ -307,7 +307,7 @@ def test_one_greedy_scan_per_span_multiset(monkeypatch):
     monkeypatch.setattr(markov, "_scan_spans", lambda *a: calls.append(a) or scan(*a))
     chain = markov._fine_chain.__wrapped__(4, "smallest")
     multisets = {tuple(sorted(state)) for i, state in enumerate(chain.states)
-                 if i != chain.absorbing_index}
+                 if i != chain.n_states - 1}
     assert len(calls) == len(multisets) == 1082
 
 

@@ -163,8 +163,9 @@ class TestSufficientByCounting:
         assert sufficient_by_counting((3, 3, 3), 3) is True
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            sufficient_by_counting((4, 0, 0), 3)
+        for ranks, k in (((4, 0, 0), 3), ((0, 0, 0), True), ((1, 1, 1), 2.5)):
+            with pytest.raises(ValueError):
+                sufficient_by_counting(ranks, k)
 
     def test_implies_full_coverage_exhaustive_k_le_3(self):
         # over every joint subspace state: if the counting test passes,
